@@ -9,6 +9,8 @@
 //       "PATTERN IBM;Sun;Oracle WHERE IBM.price > Sun.price "
 //       "WITHIN 200 RETURN IBM, Sun, Oracle");
 //   zstream::Query* query = ddl->query;
+//   // `m` is a view into the engine's buffers, valid only during the
+//   // call; copy it into a zstream::OwnedMatch to keep it.
 //   query->SetMatchCallback([](zstream::Match&& m) { ... });
 //   for (const auto& e : events) query->Push(e);
 //   query->Finish();

@@ -177,13 +177,16 @@ ZS_HOT RecordId Buffer::AppendRef(const RecordRef& r) {
 }
 
 RecordId Buffer::AppendSlots(Timestamp start_ts, Timestamp end_ts,
-                             const EventPtr* slots, int num_slots,
-                             const EventGroupPtr& group) {
+                             const EventPtr* slots, const EventPtr* fallback,
+                             int num_slots, const EventGroupPtr& group) {
   ZS_DCHECK(num_slots == arity_);
   uint32_t row = 0;
   Chunk* c = AppendRow(start_ts, end_ts, &row);
   EventPtr* dst = &c->slots[row * static_cast<size_t>(arity_)];
-  for (int i = 0; i < num_slots; ++i) dst[i] = slots[i];
+  for (int i = 0; i < num_slots; ++i) {
+    dst[i] = slots[i] != nullptr || fallback == nullptr ? slots[i]
+                                                         : fallback[i];
+  }
   if (group != nullptr) {
     EnsureGroupColumn(*c);
     c->groups[row] = group;
@@ -244,9 +247,16 @@ void Buffer::PurgeBefore(Timestamp eat) {
     ++removed;
     if (base_id_ - front.first_id == kChunkCap) RetireFrontChunk();
   }
-  // Amortize index cleanup: compact when a meaningful chunk was purged.
-  if (index_.has_value() && removed > 64) {
-    index_->Compact(base_id_);
+  // Amortize index cleanup over the rows purged since the last sweep, so
+  // the sweep's O(buckets) cost is paid for by as many purged rows —
+  // whether they went one at a time or in bulk.
+  if (index_.has_value()) {
+    purged_since_compact_ += removed;
+    if (purged_since_compact_ >=
+        std::max(kIndexCompactSlack, index_->bucket_count())) {
+      index_->Compact(base_id_);
+      purged_since_compact_ = 0;
+    }
   }
 }
 
@@ -262,6 +272,7 @@ void Buffer::Clear() {
   while (!chunks_.empty()) RetireFrontChunk();
   ZS_DCHECK(group_refs_.empty());
   if (index_.has_value()) index_->Compact(base_id_);
+  purged_since_compact_ = 0;
 }
 
 void Buffer::EnableHashIndex(int class_idx, int field_idx) {
@@ -270,6 +281,7 @@ void Buffer::EnableHashIndex(int class_idx, int field_idx) {
     return;
   }
   index_.emplace(class_idx, field_idx);
+  purged_since_compact_ = 0;
   for (RecordId id = base_id_; id < next_id_; ++id) {
     const RecordRef r = Get(id);
     const EventPtr& key_event = r.slots[class_idx];

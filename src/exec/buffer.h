@@ -101,10 +101,11 @@ class Buffer {
   /// buffer).
   RecordId AppendRef(const RecordRef& r);
 
-  /// Appends from an owning slot array (Kleene assembly scratch).
+  /// Appends the slot-wise union of two slot arrays (`slots` wins;
+  /// `fallback` may be null) with an explicit group (Kleene assembly).
   RecordId AppendSlots(Timestamp start_ts, Timestamp end_ts,
-                       const EventPtr* slots, int num_slots,
-                       const EventGroupPtr& group);
+                       const EventPtr* slots, const EventPtr* fallback,
+                       int num_slots, const EventGroupPtr& group);
 
   bool empty() const { return base_id_ == next_id_; }
   size_t size() const { return static_cast<size_t>(next_id_ - base_id_); }
@@ -130,8 +131,14 @@ class Buffer {
                            : std::nullopt;
   }
 
-  /// Removes expired records (start_ts < eat) from the front.
+  /// Removes expired records (start_ts < eat) from the front. With a
+  /// hash index, the purged ids stay in their buckets until enough rows
+  /// have been purged to pay for a compaction sweep: at most
+  /// max(kIndexCompactSlack, bucket count) dead ids at any time.
   void PurgeBefore(Timestamp eat);
+
+  /// Minimum purged rows between hash-index compactions.
+  static constexpr size_t kIndexCompactSlack = 64;
 
   /// Removes every record ("Clear RBuf", Algorithm 1 step 7 — applied to
   /// internal right-child buffers after their round is consumed).
@@ -186,6 +193,9 @@ class Buffer {
   RecordId watermark_ = 0;
   Timestamp last_end_ts_ = kMinTimestamp;
   std::optional<HashIndex> index_;
+  /// Rows purged since the index was last compacted (each may have left
+  /// one dead id in its bucket).
+  size_t purged_since_compact_ = 0;
   size_t tracked_bytes_ = 0;
   /// Kleene groups resident in this buffer, by payload identity: a group
   /// shared by many records (one closure feeding many pairs) is charged

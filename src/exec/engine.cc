@@ -13,43 +13,6 @@
 
 namespace zstream {
 
-std::string Match::ToString() const {
-  std::ostringstream os;
-  os << "match[" << span.start << "," << span.end << "](";
-  bool first = true;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == nullptr) continue;
-    if (!first) os << "; ";
-    first = false;
-    os << slots[i]->ToString();
-  }
-  if (group != nullptr) {
-    os << "; group size=" << group->size();
-  }
-  os << ")";
-  return os.str();
-}
-
-std::vector<Value> ProjectMatch(const Pattern& pattern, const Match& match) {
-  EvalInput in;
-  in.slots = match.slots.data();
-  in.num_slots = static_cast<int>(match.slots.size());
-  in.group = match.group == nullptr ? nullptr : match.group.get();
-  in.group_class = pattern.KleeneClass();
-
-  std::vector<Value> out;
-  out.reserve(pattern.return_items.size());
-  for (const ReturnItem& item : pattern.return_items) {
-    if (item.expr != nullptr) {
-      out.push_back(item.expr->Eval(in));
-    } else {
-      const EventPtr& e = match.slots[static_cast<size_t>(item.class_idx)];
-      out.push_back(e == nullptr ? Value::Null() : Value(e->ToString()));
-    }
-  }
-  return out;
-}
-
 Engine::Engine(PatternPtr pattern, const EngineOptions& options,
                MemoryTracker* tracker)
     : pattern_(std::move(pattern)), options_(options), tracker_(tracker) {
@@ -576,30 +539,13 @@ ZS_HOT void Engine::AssemblyRound() {
   MaybeAdapt();
 }
 
-ZS_HOT bool Engine::NeedsPayload() const {
-  return static_cast<bool>(callback_) || cur_trace_ != 0;
-}
-
-ZS_HOT void Engine::OnMatch(Timestamp start_ts, Timestamp end_ts,
-                            const EventPtr* slots, int num_slots,
-                            const EventGroupPtr* group) {
+ZS_HOT void Engine::OnMatch(Match&& match) {
   // Replicates DrainRoot's EAT filter: operators already skip stale
   // inputs, this is the defensive boundary for the streamed path.
-  if (start_ts < round_eat_) return;
+  if (match.span.start < round_eat_) return;
   ++num_matches_;
-  if (cur_trace_ != 0) {
-    RecordMatchTrace(cur_trace_, start_ts, end_ts, slots, num_slots,
-                     group != nullptr ? group->get() : nullptr);
-  }
-  if (callback_) {
-    Match m;
-    m.span = TimeSpan{start_ts, end_ts};
-    if (slots != nullptr) {
-      m.slots.assign(slots, slots + num_slots);  // zs-hotpath-allow(match payload copy, only with a consumer installed)
-    }
-    if (group != nullptr) m.group = *group;
-    callback_(std::move(m));
-  }
+  if (cur_trace_ != 0) RecordMatchTrace(cur_trace_, match);
+  if (callback_) callback_(std::move(match));
 }
 
 ZS_HOT void Engine::DrainRoot(Timestamp eat) {
@@ -607,8 +553,7 @@ ZS_HOT void Engine::DrainRoot(Timestamp eat) {
   // this loop only does work for leaf roots (single-class patterns).
   Buffer& out = *root_->output();
   for (RecordId id = out.watermark(); id < out.end_id(); ++id) {
-    const RecordRef rec = out.Get(id);
-    OnMatch(rec.start_ts, rec.end_ts, rec.slots, rec.num_slots, rec.group_sp);
+    OnMatch(RecordMatch(out.Get(id)));
   }
   out.SetWatermark(out.end_id());
   if (!root_->is_leaf()) {
@@ -618,9 +563,7 @@ ZS_HOT void Engine::DrainRoot(Timestamp eat) {
   }
 }
 
-void Engine::RecordMatchTrace(uint64_t trace_id, Timestamp start_ts,
-                              Timestamp end_ts, const EventPtr* slots,
-                              int num_slots, const EventGroup* group) {
+void Engine::RecordMatchTrace(uint64_t trace_id, const Match& match) {
   const uint64_t now = obs::MonotonicNanos();
   obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kMatch, trace_id, now,
                    now, options_.label.c_str(), plan_fingerprint_);
@@ -639,8 +582,8 @@ void Engine::RecordMatchTrace(uint64_t trace_id, Timestamp start_ts,
   obs::MatchProvenance p;
   p.trace_id = trace_id;
   p.plan_fingerprint = plan_fingerprint_;
-  p.match_start_ts = start_ts;
-  p.match_end_ts = end_ts;
+  p.match_start_ts = match.span.start;
+  p.match_end_ts = match.span.end;
   obs::CopyLabel(p.label, options_.label.c_str());
   obs::CopyLabel(p.op_path, op_path_);
   auto add_event = [&p](const EventPtr& e) {
@@ -651,9 +594,9 @@ void Engine::RecordMatchTrace(uint64_t trace_id, Timestamp start_ts,
     }
     ++p.num_events;
   };
-  for (int i = 0; i < num_slots; ++i) add_event(slots[i]);
-  if (group != nullptr) {
-    for (const EventPtr& e : *group) add_event(e);
+  for (const EventPtr& e : match.slots) add_event(e);
+  if (match.group != nullptr) {
+    for (const EventPtr& e : *match.group) add_event(e);
   }
   obs::Tracer::Global().RecordProvenance(p);
 }

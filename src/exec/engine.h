@@ -24,6 +24,7 @@
 
 #include "common/memory_tracker.h"
 #include "exec/engine_core.h"
+#include "exec/match.h"
 #include "exec/operators.h"
 #include "exec/reorder.h"
 #include "opt/adaptive.h"
@@ -32,19 +33,6 @@
 #include "plan/physical_plan.h"
 
 namespace zstream {
-
-/// \brief One completed pattern match.
-struct Match {
-  TimeSpan span;
-  /// Component events slotted by pattern class (negated classes null).
-  std::vector<EventPtr> slots;
-  EventGroupPtr group;  // Kleene-closure events, when present
-
-  std::string ToString() const;
-};
-
-/// Evaluates the pattern's RETURN clause against a match.
-std::vector<Value> ProjectMatch(const Pattern& pattern, const Match& match);
 
 struct EngineOptions {
   /// Primitive events per batch before an assembly round is attempted.
@@ -180,16 +168,12 @@ class Engine : public EngineCore, private MatchSink {
   void LogSlowEvent(uint64_t elapsed_ns);
 
   // MatchSink: the plan root calls straight into the engine.
-  bool NeedsPayload() const override;
-  void OnMatch(Timestamp start_ts, Timestamp end_ts, const EventPtr* slots,
-               int num_slots, const EventGroupPtr* group) override;
+  void OnMatch(Match&& match) override;
 
   /// Cold path for sampled matches: records the kMatch span and the
   /// match's provenance (contributing event ids, operator path, plan
   /// fingerprint) into the global tracer.
-  void RecordMatchTrace(uint64_t trace_id, Timestamp start_ts,
-                        Timestamp end_ts, const EventPtr* slots,
-                        int num_slots, const EventGroup* group);
+  void RecordMatchTrace(uint64_t trace_id, const Match& match);
 
   PatternPtr pattern_;
   EngineOptions options_;
@@ -218,8 +202,8 @@ class Engine : public EngineCore, private MatchSink {
   /// EAT of the assembly round in flight: OnMatch drops matches that
   /// start before it (mirrors DrainRoot's filter for buffered roots).
   Timestamp round_eat_ = kMinTimestamp;
-  /// Trace id sampled at round start; nonzero makes sinks assemble
-  /// payloads so provenance can be recorded.
+  /// Trace id sampled at round start; nonzero records each match's
+  /// provenance.
   uint64_t cur_trace_ = 0;
   uint64_t late_events_ = 0;
   uint64_t events_pushed_ = 0;

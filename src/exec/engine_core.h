@@ -25,7 +25,8 @@ class Pattern;
 struct PhysicalPlan;
 class StatsCatalog;
 
-/// Consumes one completed match (moved in).
+/// Consumes one completed match: a view valid for the duration of the
+/// call (exec/match.h); copy it into an OwnedMatch to keep it.
 using MatchCallback = std::function<void(Match&&)>;
 
 /// \brief A borrowed span of events for columnar ingest. The pointers

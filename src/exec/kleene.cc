@@ -118,23 +118,15 @@ void KSeqNode::EmitOne(const RecordRef* sr, const RecordRef& er,
       if (!EvalOnePred(p, view)) return;
     }
   }
-  if (sink_ != nullptr && !sink_->NeedsPayload()) {
-    sink_->OnMatch(start_ts, end_ts, nullptr, 0, nullptr);
-    ++records_emitted_;
-    return;
-  }
-  const int n = er.num_slots;
-  for (int i = 0; i < n; ++i) {
-    emit_slots_[static_cast<size_t>(i)] =
-        er.slots[i] != nullptr
-            ? er.slots[i]
-            : (sr != nullptr ? sr->slots[i] : EventPtr());
-  }
-  const EventGroupPtr gp = std::make_shared<EventGroup>(std::move(group));
+  const EventPtr* fallback = sr != nullptr ? sr->slots : nullptr;
   if (sink_ != nullptr) {
-    sink_->OnMatch(start_ts, end_ts, emit_slots_.data(), n, &gp);
+    // The group is borrowed too: a sink that keeps the match copies it.
+    sink_->OnMatch(Match{TimeSpan{start_ts, end_ts},
+                         MatchSlots(er.slots, er.num_slots, fallback), &group,
+                         nullptr});
   } else {
-    output_.AppendSlots(start_ts, end_ts, emit_slots_.data(), n, gp);
+    output_.AppendSlots(start_ts, end_ts, er.slots, fallback, er.num_slots,
+                        std::make_shared<EventGroup>(std::move(group)));
   }
   ++records_emitted_;
 }

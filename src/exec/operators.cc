@@ -18,8 +18,7 @@ OperatorNode::OperatorNode(const Pattern* pattern, PhysOp op,
       output_(tracker, leaf_buffer, pattern->num_classes()),
       group_class_(pattern->KleeneClass()),
       window_(pattern->window),
-      scratch_(static_cast<size_t>(pattern->num_classes())),
-      emit_slots_(static_cast<size_t>(pattern->num_classes())) {}
+      scratch_(static_cast<size_t>(pattern->num_classes())) {}
 
 void OperatorNode::AttachPredicate(ExprPtr pred, int pred_idx) {
   AttachedPred p;
@@ -79,22 +78,12 @@ ZS_HOT EvalInput OperatorNode::MergedView(const RecordRef& a,
 ZS_HOT void OperatorNode::EmitMerged(const RecordRef& a, const RecordRef& b,
                                      Timestamp start_ts, Timestamp end_ts) {
   if (sink_ != nullptr) {
-    if (!sink_->NeedsPayload()) {
-      sink_->OnMatch(start_ts, end_ts, nullptr, 0, nullptr);
-      return;
-    }
-    // The sink copies what it keeps, so it must see owning pointers:
-    // stage the union in the owning scratch vector (the inputs' chunk
-    // slots are owning; the MergedView aliases are not).
-    const int n = a.num_slots;
-    for (int i = 0; i < n; ++i) {
-      emit_slots_[static_cast<size_t>(i)] =
-          a.slots[i] != nullptr ? a.slots[i] : b.slots[i];
-    }
-    const EventGroupPtr* g =
-        (a.group_sp != nullptr && *a.group_sp != nullptr) ? a.group_sp
-                                                          : b.group_sp;
-    sink_->OnMatch(start_ts, end_ts, emit_slots_.data(), n, g);
+    // Both inputs live in chunk storage for the whole round: the sink
+    // sees the union as a view over the two records, staged nowhere.
+    const RecordRef& g = a.has_group() ? a : b;
+    sink_->OnMatch(Match{TimeSpan{start_ts, end_ts},
+                         MatchSlots(a.slots, a.num_slots, b.slots),
+                         g.group(), g.has_group() ? g.group_sp : nullptr});
     return;
   }
   output_.AppendMerged(a, b, start_ts, end_ts);
@@ -102,13 +91,7 @@ ZS_HOT void OperatorNode::EmitMerged(const RecordRef& a, const RecordRef& b,
 
 ZS_HOT void OperatorNode::EmitRef(const RecordRef& r) {
   if (sink_ != nullptr) {
-    if (!sink_->NeedsPayload()) {
-      sink_->OnMatch(r.start_ts, r.end_ts, nullptr, 0, nullptr);
-    } else {
-      // r's slots live in chunk storage (owning) and stay valid for the
-      // duration of the call; the sink copies from them directly.
-      sink_->OnMatch(r.start_ts, r.end_ts, r.slots, r.num_slots, r.group_sp);
-    }
+    sink_->OnMatch(RecordMatch(r));
     return;
   }
   output_.AppendRef(r);

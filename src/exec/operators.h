@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "exec/buffer.h"
+#include "exec/match.h"
 #include "expr/compiled.h"
 #include "opt/stats.h"
 #include "plan/pattern.h"
@@ -39,20 +40,21 @@
 namespace zstream {
 
 /// \brief Streaming consumer of completed matches (installed on the plan
-/// root by the Engine). `slots` point at owning storage that remains
-/// valid for the duration of the call; `group` is null when the match
-/// carries no Kleene group.
+/// root by the Engine). The match is a view into the root's input
+/// buffers, valid for the duration of the call.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
-  /// When false the sink only counts: emitters may pass null slots and
-  /// group and skip assembling the payload entirely (the count-only
-  /// benchmark path pays zero refcount traffic per match).
-  virtual bool NeedsPayload() const { return true; }
-  virtual void OnMatch(Timestamp start_ts, Timestamp end_ts,
-                       const EventPtr* slots, int num_slots,
-                       const EventGroupPtr* group) = 0;
+  virtual void OnMatch(Match&& match) = 0;
 };
+
+/// A buffered record viewed as a completed match (valid while the record
+/// stays buffered).
+inline Match RecordMatch(const RecordRef& r) {
+  return Match{TimeSpan{r.start_ts, r.end_ts},
+               MatchSlots(r.slots, r.num_slots), r.group(),
+               r.has_group() ? r.group_sp : nullptr};
+}
 
 /// \brief Base class for all plan-tree nodes.
 class OperatorNode {
@@ -125,8 +127,9 @@ class OperatorNode {
   /// until the next MergedView call on this node.
   EvalInput MergedView(const RecordRef& a, const RecordRef& b);
 
-  /// Emits the union of `a` and `b` with an explicit span: streams to
-  /// the sink when installed, otherwise materializes into output().
+  /// Emits the union of `a` and `b` with an explicit span: streams a
+  /// view of both records to the sink when installed, otherwise
+  /// materializes into output().
   void EmitMerged(const RecordRef& a, const RecordRef& b, Timestamp start_ts,
                   Timestamp end_ts);
   /// Emits a copy of an existing record (pass-through operators).
@@ -148,8 +151,6 @@ class OperatorNode {
   std::vector<OperatorNode*> children_;
   /// Non-owning alias slots backing MergedView.
   std::vector<EventPtr> scratch_;
-  /// Owning slots staged for sink emission of merged results.
-  std::vector<EventPtr> emit_slots_;
 };
 
 /// \brief Leaf buffer for one event class, with pushed-down single-class

@@ -327,24 +327,27 @@ Result<NetMatch> ReadMatch(PayloadReader* in, const SchemaPtr& schema) {
   NetMatch out;
   ZS_ASSIGN_OR_RETURN(out.query, in->ReadString());
   ZS_ASSIGN_OR_RETURN(out.trace_id, in->ReadU64());
-  ZS_ASSIGN_OR_RETURN(out.match.span.start, in->ReadI64());
-  ZS_ASSIGN_OR_RETURN(out.match.span.end, in->ReadI64());
+  TimeSpan span;
+  ZS_ASSIGN_OR_RETURN(span.start, in->ReadI64());
+  ZS_ASSIGN_OR_RETURN(span.end, in->ReadI64());
   ZS_ASSIGN_OR_RETURN(uint32_t nslots, in->ReadU32());
   if (nslots > 1024) {
     return Status::ParseError("match slot count " + std::to_string(nslots) +
                               " exceeds bound")
         .WithErrorCode(errc::kNetBatchTooLarge);
   }
-  out.match.slots.reserve(nslots);
+  std::vector<EventPtr> slots;
+  slots.reserve(nslots);
   for (uint32_t i = 0; i < nslots; ++i) {
     ZS_ASSIGN_OR_RETURN(uint8_t present, in->ReadU8());
     if (present == 0) {
-      out.match.slots.push_back(nullptr);
+      slots.push_back(nullptr);
       continue;
     }
     ZS_ASSIGN_OR_RETURN(EventPtr e, ReadEvent(in, schema));
-    out.match.slots.push_back(std::move(e));
+    slots.push_back(std::move(e));
   }
+  EventGroupPtr group;
   ZS_ASSIGN_OR_RETURN(uint8_t has_group, in->ReadU8());
   if (has_group != 0) {
     ZS_ASSIGN_OR_RETURN(uint32_t ngroup, in->ReadU32());
@@ -353,14 +356,15 @@ Result<NetMatch> ReadMatch(PayloadReader* in, const SchemaPtr& schema) {
                                 std::to_string(ngroup) + " exceeds bound")
           .WithErrorCode(errc::kNetBatchTooLarge);
     }
-    auto group = std::make_shared<std::vector<EventPtr>>();
-    group->reserve(ngroup);
+    auto events = std::make_shared<EventGroup>();
+    events->reserve(ngroup);
     for (uint32_t i = 0; i < ngroup; ++i) {
       ZS_ASSIGN_OR_RETURN(EventPtr e, ReadEvent(in, schema));
-      group->push_back(std::move(e));
+      events->push_back(std::move(e));
     }
-    out.match.group = std::move(group);
+    group = std::move(events);
   }
+  out.match = OwnedMatch(span, std::move(slots), std::move(group));
   return out;
 }
 

@@ -182,7 +182,7 @@ void AppendEventBatch(std::string* out, std::string_view stream,
                       const std::vector<EventPtr>& events, size_t from,
                       size_t count, uint64_t trace_id = 0);
 
-/// \brief Decoded kMatch frame: a full Match whose slot/group events
+/// \brief Decoded kMatch frame: an owning match whose slot/group events
 /// were rebuilt against the subscription's schema, so client-side code
 /// (including runtime::CanonicalMatchKey) treats it exactly like a
 /// local match.
@@ -191,7 +191,7 @@ struct NetMatch {
   /// Trace id of the sampled ingest that emitted the match (0 =
   /// untraced); lets the client's delivery span join the trace.
   uint64_t trace_id = 0;
-  Match match;
+  OwnedMatch match;
 };
 
 void AppendMatch(std::string* out, std::string_view query,

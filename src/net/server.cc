@@ -93,10 +93,11 @@ struct Server::HttpConnection {
 // ---------------------------------------------------------------------
 
 void Server::FanoutSink::Publish(runtime::RuntimeMatch&& match) {
+  runtime::OwnedRuntimeMatch kept(match);  // copied outside the lock
   bool signal = false;
   {
     zs::MutexLock lock(mu_);
-    pending_.push_back(std::move(match));
+    pending_.push_back(std::move(kept));
     if (!signaled_) {
       signaled_ = true;
       signal = true;
@@ -720,7 +721,7 @@ void Server::HandleFlush(Connection* conn) {
 // ---------------------------------------------------------------------
 
 void Server::DrainMatches() {
-  std::vector<runtime::RuntimeMatch> pending;
+  std::vector<runtime::OwnedRuntimeMatch> pending;
   {
     zs::MutexLock lock(sink_.mu_);
     sink_.signaled_ = false;
@@ -728,21 +729,12 @@ void Server::DrainMatches() {
   }
   if (pending.empty()) return;
   // Deterministic delivery order within the drained batch: the shared
-  // (query, span, canonical key) order of CollectingMatchSink::Take.
-  std::vector<std::pair<std::string, size_t>> order;
-  order.reserve(pending.size());
-  for (size_t i = 0; i < pending.size(); ++i) {
-    order.emplace_back(runtime::CanonicalMatchKey(pending[i].match), i);
-  }
-  std::sort(order.begin(), order.end(), [&](const auto& a, const auto& b) {
-    return runtime::RuntimeMatchLess(pending[a.second], a.first,
-                                     pending[b.second], b.first);
-  });
+  // order of CollectingMatchSink::Take.
+  std::sort(pending.begin(), pending.end(), runtime::RuntimeMatchLess);
   // Queue every frame first and flush each connection once: one
   // send() per subscriber per drain, not per match.
   std::string payload;
-  for (const auto& [key, idx] : order) {
-    const runtime::RuntimeMatch& m = pending[idx];
+  for (const runtime::OwnedRuntimeMatch& m : pending) {
     const auto name_it = query_names_.find(m.query);
     if (name_it == query_names_.end()) continue;  // dropped query
     payload.clear();

@@ -11,7 +11,7 @@
 // session and the query registry need no locking; the only cross-thread
 // channel is the match sink, which shard workers fill and a self-pipe
 // wakes the poll loop to drain. Matches are delivered in the
-// CollectingMatchSink order (query, span, canonical key) within each
+// CollectingMatchSink order (runtime::RuntimeMatchLess) within each
 // drained batch, and everything produced by events ingested before a
 // kFlush is delivered before that flush's kFlushAck.
 //
@@ -106,8 +106,9 @@ class Server {
   struct Connection;
   struct HttpConnection;
 
-  /// Thread-safe match funnel: shard workers publish, the poll loop
-  /// drains (woken through the self-pipe).
+  /// Thread-safe match funnel: shard workers publish (each match copied
+  /// once into an owning queue entry), the poll loop drains (woken
+  /// through the self-pipe).
   class FanoutSink : public runtime::MatchSink {
    public:
     explicit FanoutSink(Server* server) : server_(server) {}
@@ -118,7 +119,7 @@ class Server {
     Server* server_;
     zs::Mutex mu_;
     bool signaled_ ZS_GUARDED_BY(mu_) = false;
-    std::vector<runtime::RuntimeMatch> pending_ ZS_GUARDED_BY(mu_);
+    std::vector<runtime::OwnedRuntimeMatch> pending_ ZS_GUARDED_BY(mu_);
   };
 
   /// Runtime-side registration of one served query.

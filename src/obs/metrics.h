@@ -83,10 +83,12 @@ class Histogram {
  public:
   static constexpr int kNumBuckets = 32;  // plus the implicit +Inf bucket
 
-  void Observe(uint64_t value) {
-    buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+  /// Records `n` observations of `value` (one set of atomic updates,
+  /// however large `n` is).
+  void Observe(uint64_t value, uint64_t n = 1) {
+    buckets_[BucketOf(value)].fetch_add(n, std::memory_order_relaxed);
+    sum_.fetch_add(value * n, std::memory_order_relaxed);
+    count_.fetch_add(n, std::memory_order_relaxed);
   }
 
   /// Index of the bucket counting `value`: smallest i with

@@ -21,21 +21,52 @@ std::string CanonicalMatchKey(const Match& match) {
   return os.str();
 }
 
-bool RuntimeMatchLess(const RuntimeMatch& a, const std::string& key_a,
-                      const RuntimeMatch& b, const std::string& key_b) {
+namespace {
+
+/// -1, 0 or 1 as `a` sorts before, with or after `b`; absent < present.
+int CompareEvent(const EventPtr& a, const EventPtr& b) {
+  if (a == nullptr || b == nullptr) {
+    return static_cast<int>(a != nullptr) - static_cast<int>(b != nullptr);
+  }
+  const Timestamp ta = a->timestamp();
+  const Timestamp tb = b->timestamp();
+  return ta < tb ? -1 : (ta > tb ? 1 : 0);
+}
+
+}  // namespace
+
+bool MatchLess(const Match& a, const Match& b) {
+  if (a.span.start != b.span.start) return a.span.start < b.span.start;
+  if (a.span.end != b.span.end) return a.span.end < b.span.end;
+  const size_t n = std::min(a.slots.size(), b.slots.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (const int c = CompareEvent(a.slots[i], b.slots[i]); c != 0) {
+      return c < 0;
+    }
+  }
+  if (a.slots.size() != b.slots.size()) {
+    return a.slots.size() < b.slots.size();
+  }
+  if (a.group == nullptr || b.group == nullptr) {
+    return a.group == nullptr && b.group != nullptr;
+  }
+  return std::lexicographical_compare(
+      a.group->begin(), a.group->end(), b.group->begin(), b.group->end(),
+      [](const EventPtr& x, const EventPtr& y) {
+        return CompareEvent(x, y) < 0;
+      });
+}
+
+bool RuntimeMatchLess(const OwnedRuntimeMatch& a,
+                      const OwnedRuntimeMatch& b) {
   if (a.query != b.query) return a.query < b.query;
-  if (a.match.span.start != b.match.span.start) {
-    return a.match.span.start < b.match.span.start;
-  }
-  if (a.match.span.end != b.match.span.end) {
-    return a.match.span.end < b.match.span.end;
-  }
-  return key_a < key_b;
+  return MatchLess(a.match, b.match);
 }
 
 void CollectingMatchSink::Publish(RuntimeMatch&& match) {
+  OwnedRuntimeMatch kept(match);  // copied outside the lock
   zs::MutexLock lock(mu_);
-  matches_.push_back(std::move(match));
+  matches_.push_back(std::move(kept));
 }
 
 size_t CollectingMatchSink::size() const {
@@ -43,30 +74,14 @@ size_t CollectingMatchSink::size() const {
   return matches_.size();
 }
 
-std::vector<RuntimeMatch> CollectingMatchSink::Take() {
-  std::vector<RuntimeMatch> out;
+std::vector<OwnedRuntimeMatch> CollectingMatchSink::Take() {
+  std::vector<OwnedRuntimeMatch> out;
   {
     zs::MutexLock lock(mu_);
     out.swap(matches_);
   }
-  // Decorate-sort-undecorate: build each canonical key once instead of
-  // re-stringifying both operands on every comparison.
-  std::vector<std::pair<std::string, size_t>> order;
-  order.reserve(out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    order.emplace_back(CanonicalMatchKey(out[i].match), i);
-  }
-  std::sort(order.begin(), order.end(),
-            [&](const auto& a, const auto& b) {
-              return RuntimeMatchLess(out[a.second], a.first,
-                                      out[b.second], b.first);
-            });
-  std::vector<RuntimeMatch> sorted;
-  sorted.reserve(out.size());
-  for (const auto& [key, idx] : order) {
-    sorted.push_back(std::move(out[idx]));
-  }
-  return sorted;
+  std::sort(out.begin(), out.end(), RuntimeMatchLess);
+  return out;
 }
 
 std::vector<std::string> CollectingMatchSink::SortedKeys() const {
@@ -74,7 +89,7 @@ std::vector<std::string> CollectingMatchSink::SortedKeys() const {
   {
     zs::MutexLock lock(mu_);
     keys.reserve(matches_.size());
-    for (const RuntimeMatch& m : matches_) {
+    for (const OwnedRuntimeMatch& m : matches_) {
       keys.push_back(CanonicalMatchKey(m.match));
     }
   }

@@ -2,10 +2,12 @@
 //
 // Shard workers publish matches as they drain engine roots; a MatchSink
 // is the runtime's only cross-thread output channel, so implementations
-// must be safe under concurrent Publish. CollectingMatchSink additionally
+// must be safe under concurrent Publish. A published match is a view
+// valid only during Publish (exec/match.h); sinks that keep matches copy
+// them into an OwnedRuntimeMatch. CollectingMatchSink additionally
 // re-establishes a deterministic order: Take() sorts by
-// (query, canonical match key), which is independent of shard count and
-// thread interleaving — the property the determinism tests assert.
+// RuntimeMatchLess, which is independent of shard count and thread
+// interleaving — the property the determinism tests assert.
 #ifndef ZSTREAM_RUNTIME_MATCH_SINK_H_
 #define ZSTREAM_RUNTIME_MATCH_SINK_H_
 
@@ -15,14 +17,15 @@
 #include <vector>
 
 #include "common/sync.h"
-#include "exec/engine.h"
+#include "exec/match.h"
 
 namespace zstream::runtime {
 
 /// Runtime-wide query handle (assigned by StreamRuntime::RegisterQuery).
 using QueryId = int64_t;
 
-/// \brief One match, tagged with its source query and shard.
+/// \brief One match, tagged with its source query and shard. `match` is
+/// a view valid for the duration of the Publish call.
 struct RuntimeMatch {
   QueryId query = 0;
   int shard = 0;
@@ -33,17 +36,37 @@ struct RuntimeMatch {
   Match match;
 };
 
-/// Canonical, interleaving-independent key for a match: the span plus
-/// every bound slot's (class, timestamp) and the Kleene group timestamps.
+/// \brief An owning copy of a RuntimeMatch, for sinks that keep matches
+/// past Publish.
+struct OwnedRuntimeMatch {
+  OwnedRuntimeMatch() = default;
+  explicit OwnedRuntimeMatch(const RuntimeMatch& m)
+      : query(m.query), shard(m.shard), trace_id(m.trace_id),
+        match(m.match) {}
+
+  QueryId query = 0;
+  int shard = 0;
+  uint64_t trace_id = 0;
+  OwnedMatch match;
+};
+
+/// Canonical, interleaving-independent rendering of a match: the span
+/// plus every bound slot's (class, timestamp) and the Kleene group
+/// timestamps. For display and multiset comparison; ordering uses
+/// MatchLess.
 std::string CanonicalMatchKey(const Match& match);
 
-/// The deterministic delivery order — (query, span, canonical key) —
-/// shared by CollectingMatchSink::Take and the network server's match
-/// fanout, so "ordered" means the same thing in-process and over the
-/// wire. Canonical keys are precomputed by the caller (they are
-/// expensive to build per comparison).
-bool RuntimeMatchLess(const RuntimeMatch& a, const std::string& key_a,
-                      const RuntimeMatch& b, const std::string& key_b);
+/// Total order over match content, field by field: span start, span
+/// end, then each slot's presence and timestamp, then the group's
+/// presence and timestamps. Independent of shard count and delivery
+/// interleaving.
+bool MatchLess(const Match& a, const Match& b);
+
+/// The deterministic delivery order — query, then MatchLess — shared by
+/// CollectingMatchSink::Take and the network server's match fanout, so
+/// "ordered" means the same thing in-process and over the wire.
+bool RuntimeMatchLess(const OwnedRuntimeMatch& a,
+                      const OwnedRuntimeMatch& b);
 
 /// \brief Consumer interface; Publish is called from shard workers.
 class MatchSink {
@@ -52,7 +75,8 @@ class MatchSink {
   virtual void Publish(RuntimeMatch&& match) = 0;
 };
 
-/// \brief Accumulates matches; Take() hands them out in canonical order.
+/// \brief Accumulates owning copies of matches; Take() hands them out in
+/// canonical order.
 class CollectingMatchSink : public MatchSink {
  public:
   void Publish(RuntimeMatch&& match) override;
@@ -60,9 +84,9 @@ class CollectingMatchSink : public MatchSink {
   size_t size() const;
 
   /// Removes and returns everything published so far, sorted by
-  /// (query, span, CanonicalMatchKey) — chronological within a query,
-  /// and identical across runs with different shard interleavings.
-  std::vector<RuntimeMatch> Take();
+  /// RuntimeMatchLess — chronological within a query, and identical
+  /// across runs with different shard interleavings.
+  std::vector<OwnedRuntimeMatch> Take();
 
   /// Sorted canonical keys of everything published so far (kept), for
   /// direct comparison against a single-threaded run.
@@ -70,7 +94,7 @@ class CollectingMatchSink : public MatchSink {
 
  private:
   mutable zs::Mutex mu_;
-  std::vector<RuntimeMatch> matches_ ZS_GUARDED_BY(mu_);
+  std::vector<OwnedRuntimeMatch> matches_ ZS_GUARDED_BY(mu_);
 };
 
 /// \brief Serializes an arbitrary callback behind a mutex (for sinks

@@ -92,6 +92,12 @@ struct StreamRuntime::QueryState {
   int num_shards = 1;
   MatchSink* sink = nullptr;
   std::atomic<uint64_t> matches{0};
+  /// Matches counted on each shard since its last PublishMatchTallies;
+  /// slot s is touched only by shard s's worker.
+  struct alignas(64) ShardTally {
+    uint64_t pending = 0;
+  };
+  std::vector<ShardTally> tallies;
   /// Metric label / slow-event log name ("q<id>" unless the caller set
   /// EngineOptions::label).
   std::string label;
@@ -198,11 +204,11 @@ struct StreamRuntime::Shard {
   };
   std::vector<Entry> entries;
 
-  // Worker-thread-local: arrival stamp of the event currently being
-  // dispatched; match callbacks (same thread) read it to compute
-  // detection latency. 0 outside event dispatch (Finish-time matches
-  // have no single triggering arrival and are not observed).
-  uint64_t current_arrival_ns = 0;
+  // Worker-thread-local: arrival stamp of the most recently dispatched
+  // event. PublishMatchTallies measures detection latency from it: for
+  // matches of a dispatch that is the triggering ingest; Finish-time
+  // matches are measured from the last event the shard saw.
+  uint64_t last_arrival_ns = 0;
 
   // Worker-thread-local scratch for DispatchRun: the contiguous event
   // span handed to PushBatch, and the per-query filtered subset for
@@ -303,7 +309,7 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, const ShardMsg* msgs,
                                        size_t count) {
   // All messages in a run share arrival_ns (same ingest batch), so the
   // latency stamp is exact for every match the run emits.
-  shard->current_arrival_ns = msgs[0].arrival_ns;
+  shard->last_arrival_ns = msgs[0].arrival_ns;
   const StreamId stream = msgs[0].stream;
   std::vector<EventPtr>& span = shard->span_scratch;
   span.clear();
@@ -340,7 +346,21 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, const ShardMsg* msgs,
     }
     entry.engine->PushBatch(EventBatch{span.data(), span.size()});
   }
-  shard->current_arrival_ns = 0;
+}
+
+ZS_HOT void StreamRuntime::PublishMatchTallies(Shard* shard) {
+  uint64_t now = 0;
+  for (Shard::Entry& entry : shard->entries) {
+    QueryState* q = entry.query;
+    uint64_t& pending = q->tallies[static_cast<size_t>(shard->index)].pending;
+    if (pending == 0) continue;
+    q->matches.fetch_add(pending, std::memory_order_relaxed);
+    if (q->latency != nullptr) {
+      if (now == 0) now = obs::MonotonicNanos();
+      q->latency->Observe(now - shard->last_arrival_ns, pending);
+    }
+    pending = 0;
+  }
 }
 
 void StreamRuntime::FlushReorder(Shard* shard) {
@@ -379,6 +399,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
             }
             if (run_end - bi > 1) {
               DispatchRun(shard, &batch[bi], run_end - bi);
+              PublishMatchTallies(shard);
               shard->events_processed.fetch_add(
                   run_end - bi, std::memory_order_relaxed);
               bi = run_end - 1;
@@ -388,7 +409,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
           // Matches emitted while this event is processed (including
           // reorder releases it triggers) measure latency from its
           // arrival — the emission-triggering ingest.
-          shard->current_arrival_ns = msg.arrival_ns;
+          shard->last_arrival_ns = msg.arrival_ns;
           obs::SetCurrentTrace(msg.trace_id);
           // Queue residency: enqueue stamp to dequeue, on this shard's
           // lane. The dominant latency contributor under load.
@@ -416,7 +437,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
             DispatchEvent(shard, msg.stream, msg.event, msg.key_hint_field,
                           msg.key_hint_hash);
           }
-          shard->current_arrival_ns = 0;
+          PublishMatchTallies(shard);
           obs::SetCurrentTrace(0);
           shard->events_processed.fetch_add(1, std::memory_order_relaxed);
           break;
@@ -447,6 +468,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
               }
             }
             it->engine->Finish();  // deliver pending matches first
+            PublishMatchTallies(shard);
             shard->entries.erase(it);
           }
           msg.sync->Arrive();
@@ -460,6 +482,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
           // point count as late.
           if (reordering) FlushReorder(shard);
           for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
+          PublishMatchTallies(shard);
           msg.sync->Arrive();
           break;
         }
@@ -527,6 +550,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
   // Queue closed and drained: flush so counters and sinks are complete.
   if (reordering) FlushReorder(shard);
   for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
+  PublishMatchTallies(shard);
 }
 
 // ---------------------------------------------------------------------
@@ -829,6 +853,7 @@ Result<QueryId> StreamRuntime::RegisterCompiled(
   qs->sink = options.sink;
   qs->tracker = std::make_unique<MemoryTracker>();
   qs->engines.resize(shards_.size());
+  qs->tallies.resize(shards_.size());
   if (pattern->partition.has_value()) {
     qs->key_field = pattern->partition->field_indices.front();
   }
@@ -865,23 +890,18 @@ Result<QueryId> StreamRuntime::RegisterCompiled(
                                                   qs->tracker.get()));
       engine = std::move(se);
     }
+    // Counted on the worker thread; PublishMatchTallies folds the tally
+    // into the shared counter and latency histogram once per dispatch.
     engine->SetMatchCallback(
-        [raw = qs.get(), s, sink = options.sink,
-         shard = shards_[static_cast<size_t>(s)].get()](Match&& m) {
-          raw->matches.fetch_add(1, std::memory_order_relaxed);
-          // Same thread as the worker that set the stamp; 0 outside
-          // event dispatch (e.g. Finish-time matches).
-          if (shard->current_arrival_ns != 0) {
-            raw->latency->Observe(obs::MonotonicNanos() -
-                                  shard->current_arrival_ns);
-          }
+        [id = qs->id, s, sink = options.sink,
+         tally = &qs->tallies[static_cast<size_t>(s)]](Match&& m) {
+          ++tally->pending;
           if (sink != nullptr) {
             // Published on the worker thread, so the thread-local trace
             // id still names the sampled ingest that emitted this match;
             // fanout/delivery spans downstream join the same trace.
             sink->Publish(
-                RuntimeMatch{raw->id, s, obs::CurrentTraceId(),
-                             std::move(m)});
+                RuntimeMatch{id, s, obs::CurrentTraceId(), std::move(m)});
           }
         });
     qs->engines[static_cast<size_t>(s)] = std::move(engine);

@@ -224,6 +224,12 @@ class StreamRuntime {
   /// (EngineCore::PushBatch). Hash-routed queries filter the run per
   /// event first; pinned/broadcast queries take the span whole.
   void DispatchRun(Shard* shard, const ShardMsg* msgs, size_t count);
+  /// Publishes the match tallies the shard's engine callbacks counted
+  /// since the last call: one counter add and one latency-histogram
+  /// observation per query, instead of per match. Called after every
+  /// dispatch and before every barrier acknowledges, so query_matches
+  /// and the histogram count are exact at Flush.
+  void PublishMatchTallies(Shard* shard);
   /// Drains the shard's reorder stages (stream end / flush barrier) and
   /// refreshes the shard's published reorder counters.
   void FlushReorder(Shard* shard);

@@ -50,10 +50,8 @@ std::vector<EventPtr> TimestampSorted(const std::vector<EventPtr>& events) {
 
 std::string EngineMatchKey(const Pattern& pattern, const Match& match) {
   const std::vector<bool> mask = NegatedMask(pattern);
-  std::vector<EventPtr> group;
-  if (match.group != nullptr) group = *match.group;
-  return MatchSignature(match.slots, mask,
-                        match.group != nullptr ? &group : nullptr);
+  const std::vector<EventPtr> slots(match.slots.begin(), match.slots.end());
+  return MatchSignature(slots, mask, match.group);
 }
 
 std::string CreateStreamDdl(const std::string& name, const Schema& schema) {
@@ -241,7 +239,7 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
         continue;
       }
       std::vector<std::string> keys;
-      for (const runtime::RuntimeMatch& m : sink.Take()) {
+      for (const runtime::OwnedRuntimeMatch& m : sink.Take()) {
         keys.push_back(EngineMatchKey(*pattern, m.match));
       }
       (*rt)->Stop();

@@ -22,8 +22,8 @@ TEST(Api, CompileAndRunQuery1Style) {
       "WITHIN 10 RETURN T1, T2, T3");
   ASSERT_TRUE(query.ok()) << query.status().ToString();
 
-  std::vector<Match> matches;
-  (*query)->SetMatchCallback([&](Match&& m) { matches.push_back(m); });
+  std::vector<OwnedMatch> matches;
+  (*query)->SetMatchCallback([&](Match&& m) { matches.emplace_back(m); });
   (*query)->Push(Stock("IBM", 130, 1));
   (*query)->Push(Stock("Google", 100, 2));
   (*query)->Push(Stock("IBM", 70, 3));

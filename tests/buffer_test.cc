@@ -2,6 +2,10 @@
 // hash-index consistency, memory accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "exec/buffer.h"
 #include "event/event.h"
 
@@ -202,6 +206,41 @@ TEST(Buffer, HashIndexBuiltOverExistingRecords) {
   b.Append(std::move(r));
   b.EnableHashIndex(0, 1);
   EXPECT_EQ(b.hash_index()->Probe(Value("X")).size(), 1u);
+}
+
+// A keyed buffer purges a few rows per round, never a large block; the
+// index must still shed dead ids, or every probe walks the stream's whole
+// history for its key.
+TEST(Buffer, HashIndexStaysBoundedUnderSmallPurges) {
+  MemoryTracker t;
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
+  b.EnableHashIndex(/*class_idx=*/0, /*field_idx=*/1);
+  const std::vector<std::string> keys = {"A", "B", "C", "D"};
+  constexpr Timestamp kWindow = 40;
+  size_t max_probe = 0;
+  size_t max_bound = 0;
+  for (Timestamp ts = 0; ts < 20000; ++ts) {
+    const std::string& key = keys[static_cast<size_t>(ts) % keys.size()];
+    b.AppendEvent(0, EventBuilder(StockSchema())
+                         .Set("name", Value(key))
+                         .At(ts)
+                         .Build());
+    b.PurgeBefore(ts - kWindow);  // a round's worth: one or two rows
+    size_t live = 0;
+    for (RecordId id = b.base_id(); id < b.end_id(); ++id) {
+      live += b.Get(id).slots[0]->value(1) == Value("A") ? 1 : 0;
+    }
+    const size_t probe = b.hash_index()->Probe(Value("A")).size();
+    const size_t bound =
+        live + std::max(Buffer::kIndexCompactSlack,
+                        b.hash_index()->bucket_count());
+    ASSERT_LE(probe, bound) << "at ts " << ts;
+    max_probe = std::max(max_probe, probe);
+    max_bound = std::max(max_bound, bound);
+  }
+  // Bounded by the window, not by the 5000 "A" rows appended overall.
+  EXPECT_LE(max_probe, max_bound);
+  EXPECT_LT(max_bound, 100u);
 }
 
 TEST(HashIndex, CompactDropsPurgedIds) {

@@ -249,11 +249,10 @@ TEST(NetProtocol, StatusPayloadRoundTrip) {
 }
 
 TEST(NetProtocol, MatchRoundTripWithNullSlotsAndGroup) {
-  Match match;
-  match.span = TimeSpan{10, 30};
-  match.slots = {Stock("IBM", 10, 10), nullptr, Stock("Sun", 20, 30)};
-  match.group = std::make_shared<EventGroup>(
-      EventGroup{Stock("Oracle", 15, 12), Stock("Oracle", 16, 14)});
+  const OwnedMatch match(
+      TimeSpan{10, 30}, {Stock("IBM", 10, 10), nullptr, Stock("Sun", 20, 30)},
+      std::make_shared<EventGroup>(
+          EventGroup{Stock("Oracle", 15, 12), Stock("Oracle", 16, 14)}));
   std::string buf;
   net::AppendMatch(&buf, "q1", match);
   PayloadReader reader(buf);
@@ -268,10 +267,9 @@ TEST(NetProtocol, MatchRoundTripWithNullSlotsAndGroup) {
 // (a '*' closure that matched zero events) must survive the wire — it
 // used to decode as "no group", changing the match's canonical key.
 TEST(NetProtocol, MatchRoundTripKeepsEmptyGroup) {
-  Match match;
-  match.span = TimeSpan{5, 9};
-  match.slots = {Stock("IBM", 10, 5), Stock("Sun", 20, 9)};
-  match.group = std::make_shared<EventGroup>();  // present, empty
+  const OwnedMatch match(TimeSpan{5, 9},
+                         {Stock("IBM", 10, 5), Stock("Sun", 20, 9)},
+                         std::make_shared<EventGroup>());  // present, empty
   std::string buf;
   net::AppendMatch(&buf, "q1", match);
   PayloadReader reader(buf);
@@ -282,9 +280,9 @@ TEST(NetProtocol, MatchRoundTripKeepsEmptyGroup) {
   EXPECT_EQ(runtime::CanonicalMatchKey(got->match),
             runtime::CanonicalMatchKey(match));
 
-  Match no_group;
-  no_group.span = TimeSpan{5, 9};
-  no_group.slots = {Stock("IBM", 10, 5), Stock("Sun", 20, 9)};
+  const OwnedMatch no_group(TimeSpan{5, 9},
+                            {Stock("IBM", 10, 5), Stock("Sun", 20, 9)},
+                            nullptr);
   buf.clear();
   net::AppendMatch(&buf, "q1", no_group);
   PayloadReader reader2(buf);
@@ -445,9 +443,8 @@ FrameStream BuildValidStream(uint64_t seed) {
   }
   net::AppendEventBatch(&batch, "stock", events, 0, events.size());
   add(MsgType::kEventBatch, batch);
-  Match match;
-  match.span = TimeSpan{0, 9};
-  match.slots = {events.front(), nullptr, events.back()};
+  const OwnedMatch match(TimeSpan{0, 9},
+                         {events.front(), nullptr, events.back()}, nullptr);
   std::string match_payload;
   net::AppendMatch(&match_payload, "q", match);
   add(MsgType::kMatch, match_payload);

@@ -514,18 +514,20 @@ TEST(StreamRuntime, SinkMayReenterRuntimeAccessors) {
 
 TEST(CollectingMatchSink, TakeOrdersDeterministically) {
   runtime::CollectingMatchSink sink;
-  auto make = [](QueryId q, Timestamp ts) {
+  auto publish = [&sink](QueryId q, Timestamp ts) {
+    // The published view borrows `event` for the duration of Publish.
+    const EventPtr event = Stock("S", 1.0, ts);
     runtime::RuntimeMatch m;
     m.query = q;
     m.match.span = TimeSpan{ts, ts + 1};
-    m.match.slots.push_back(Stock("S", 1.0, ts));
-    return m;
+    m.match.slots = MatchSlots(&event, 1);
+    sink.Publish(std::move(m));
   };
   // Published out of order, across two queries.
-  sink.Publish(make(2, 30));
-  sink.Publish(make(1, 20));
-  sink.Publish(make(2, 10));
-  sink.Publish(make(1, 5));
+  publish(2, 30);
+  publish(1, 20);
+  publish(2, 10);
+  publish(1, 5);
   const auto taken = sink.Take();
   ASSERT_EQ(taken.size(), 4u);
   EXPECT_EQ(taken[0].query, 1);
