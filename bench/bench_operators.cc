@@ -33,7 +33,7 @@ void BM_LeafAdmission(benchmark::State& state) {
   const auto events = MakeStream(10000, "1:1", {"A", "B"});
   for (auto _ : state) {
     auto engine = Engine::Create(p, LeftDeepPlan(*p));
-    for (const auto& e : events) (*engine)->Offer(e);
+    for (const auto& e : events) (*engine)->Offer(EventBatch{&e, 1});
     benchmark::DoNotOptimize((*engine)->events_pushed());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -280,7 +280,8 @@ def write_baseline(counts):
             "Per-function heap-allocation counts inside ZS_HOT bodies "
             "(scripts/hotpath_lint.py, lexical engine). CI fails when a "
             "count rises; re-run with --update to accept a change. "
-            "ROADMAP item 1's batched rewrite should drive these to ~0."
+            "Mark amortized sites with zs-hotpath-allow(reason); a count "
+            "here is a per-call allocation site still to remove."
         ),
         "functions": dict(sorted(counts.items())),
         "total": sum(counts.values()),

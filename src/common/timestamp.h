@@ -23,6 +23,18 @@ inline constexpr Timestamp kMinTimestamp =
 inline constexpr Timestamp kMaxTimestamp =
     std::numeric_limits<Timestamp>::max();
 
+/// Valid range of a primitive event's timestamp (and bound on a WITHIN
+/// window): +/-2^62. The margin to the int64 limits keeps engine
+/// arithmetic such as `ts - window`, `ts + 1` and `ts - slack` free of
+/// signed overflow. Untrusted input (the wire protocol) is checked
+/// against it.
+inline constexpr Timestamp kMaxEventTimestamp = Timestamp{1} << 62;
+inline constexpr Timestamp kMinEventTimestamp = -kMaxEventTimestamp;
+
+inline constexpr bool IsValidEventTimestamp(Timestamp ts) {
+  return ts >= kMinEventTimestamp && ts <= kMaxEventTimestamp;
+}
+
 /// A half-open interval of occurrence for a (composite) event.
 struct TimeSpan {
   Timestamp start = 0;

@@ -20,11 +20,8 @@ Engine::Engine(PatternPtr pattern, const EngineOptions& options,
     owned_tracker_ = std::make_unique<MemoryTracker>();
     tracker_ = owned_tracker_.get();
   }
-  if (options_.reorder_slack > 0) {
-    reorder_ = std::make_unique<ReorderStage>(
-        options_.reorder_slack,
-        [this](const EventPtr& e) { PushOrdered(e); });
-  }
+  // batch_size < 1 behaves as 1: a round after every event.
+  options_.batch_size = std::max(options_.batch_size, 1);
   // Hash-equality routing must avoid classes that may be unbound in a
   // record (see BuildNode).
   optional_class_ = pattern_->OptionalClasses();
@@ -367,52 +364,9 @@ Result<OperatorNode*> Engine::BuildNode(const PhysNodePtr& node,
   return Status::Internal("unreachable physical operator");
 }
 
-ZS_HOT void Engine::Offer(const EventPtr& event) {
-  ++events_pushed_;
-  if (event->timestamp() < max_ts_seen_) {
-    // Leaf buffers require timestamp order; without a reorder stage,
-    // late events are dropped (and counted) rather than corrupting the
-    // end-timestamp invariant.
-    ++late_events_;
-    return;
-  }
-  max_ts_seen_ = std::max(max_ts_seen_, event->timestamp());
-  if (windowed_stats_ != nullptr) windowed_stats_->OnEvent(event->timestamp());
-  for (auto& leaf : leaves_) {
-    leaf->Offer(event);
-  }
-}
-
-ZS_HOT void Engine::PushOrdered(const EventPtr& event) {
-#ifndef ZSTREAM_OBS_STRIPPED
-  if (options_.slow_event_ns > 0) {
-    const uint64_t t0 = obs::MonotonicNanos();
-    Offer(event);
-    if (++pending_in_batch_ >= options_.batch_size) {
-      AssemblyRound();
-    }
-    const uint64_t elapsed = obs::MonotonicNanos() - t0;
-    if (elapsed >= static_cast<uint64_t>(options_.slow_event_ns)) {
-      LogSlowEvent(elapsed);
-    }
-    return;
-  }
-#endif
-  Offer(event);
-  if (++pending_in_batch_ >= options_.batch_size) {
-    AssemblyRound();
-  }
-}
-
-ZS_HOT void Engine::Push(const EventPtr& event) {
-  if (reorder_ != nullptr) {
-    reorder_->Push(event);
-    return;
-  }
-  PushOrdered(event);
-}
-
-ZS_HOT void Engine::OfferSpan(const EventPtr* events, size_t n) {
+ZS_HOT void Engine::Offer(const EventBatch& batch) {
+  const EventPtr* events = batch.data;
+  const size_t n = batch.count;
   size_t i = 0;
   while (i < n) {
     // Longest in-order run starting at i: offered to every leaf as one
@@ -438,7 +392,8 @@ ZS_HOT void Engine::OfferSpan(const EventPtr* events, size_t n) {
       }
       i = j;
     }
-    // Late stragglers inside the span: dropped and counted, like Offer.
+    // Leaf buffers require timestamp order: late stragglers are dropped
+    // (and counted) rather than corrupting the end-timestamp invariant.
     while (i < n && events[i]->timestamp() < max_ts_seen_) {
       ++events_pushed_;
       ++late_events_;
@@ -448,32 +403,33 @@ ZS_HOT void Engine::OfferSpan(const EventPtr* events, size_t n) {
 }
 
 ZS_HOT void Engine::PushBatch(const EventBatch& batch) {
-  if (reorder_ != nullptr || options_.slow_event_ns > 0) {
-    // Reordering and per-event slow-event timing are inherently
-    // record-at-a-time; fall back.
-    for (size_t i = 0; i < batch.count; ++i) Push(batch.data[i]);
-    return;
-  }
+  // One ingest step per chunk: the events up to the next batch boundary
+  // plus the assembly round that boundary triggers.
   size_t i = 0;
   while (i < batch.count) {
-    if (pending_in_batch_ >= options_.batch_size) {
-      AssemblyRound();
-      continue;
-    }
+#ifndef ZSTREAM_OBS_STRIPPED
+    const bool timed = options_.slow_event_ns > 0;
+    const uint64_t t0 = timed ? obs::MonotonicNanos() : 0;
+#endif
     const size_t room =
         static_cast<size_t>(options_.batch_size - pending_in_batch_);
     const size_t take = std::min(batch.count - i, room);
-    OfferSpan(batch.data + i, take);
+    Offer(EventBatch{batch.data + i, take});
     pending_in_batch_ += static_cast<int>(take);
     i += take;
+    if (pending_in_batch_ >= options_.batch_size) AssemblyRound();
+#ifndef ZSTREAM_OBS_STRIPPED
+    if (timed) {
+      const uint64_t elapsed = obs::MonotonicNanos() - t0;
+      if (elapsed >= static_cast<uint64_t>(options_.slow_event_ns)) {
+        LogSlowEvent(elapsed);
+      }
+    }
+#endif
   }
-  if (pending_in_batch_ >= options_.batch_size) AssemblyRound();
 }
 
-void Engine::Finish() {
-  if (reorder_ != nullptr) reorder_->Flush();
-  AssemblyRound();
-}
+void Engine::Finish() { AssemblyRound(); }
 
 ZS_HOT void Engine::AssemblyRound() {
   pending_in_batch_ = 0;

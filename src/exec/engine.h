@@ -26,7 +26,6 @@
 #include "exec/engine_core.h"
 #include "exec/match.h"
 #include "exec/operators.h"
-#include "exec/reorder.h"
 #include "opt/adaptive.h"
 #include "opt/stats.h"
 #include "plan/pattern.h"
@@ -44,19 +43,17 @@ struct EngineOptions {
   AdaptiveOptions adaptive_options;
   /// Collect runtime statistics even when not adapting.
   bool collect_stats = false;
-  /// Bounded out-of-orderness tolerated on Push (Section 4.1's
-  /// reordering operator); 0 means input must arrive in order, and
-  /// out-of-order events are dropped and counted.
-  Duration reorder_slack = 0;
   /// Per-node assembly timing (EXPLAIN ANALYZE `time=` column): two
   /// clock reads per operator per assembly round. Off by default; the
   /// per-node counters are always on (and near-free, see
   /// bench_obs_overhead).
   bool profile = false;
-  /// Slow-event log threshold in wall nanoseconds: a Push whose
-  /// processing (including any assembly round it triggers) exceeds this
-  /// emits one rate-limited ZS_LOG(Warn) naming the query and its
-  /// hottest plan node. 0 disables; > 0 implies per-node timing.
+  /// Slow-event log threshold in wall nanoseconds, checked per ingest
+  /// step: one chunk of a PushBatch offered to the leaves plus the
+  /// assembly round it triggers (for Push, exactly one event). A step
+  /// over the threshold emits one rate-limited ZS_LOG(Warn) naming the
+  /// query and its hottest plan node. 0 disables; > 0 implies per-node
+  /// timing.
   int64_t slow_event_ns = 0;
   /// Query name used in slow-event logs and metric labels.
   std::string label;
@@ -87,22 +84,20 @@ class Engine : public EngineCore, private MatchSink {
   ~Engine() override;
   ZS_DISALLOW_COPY_AND_ASSIGN(Engine);
 
-  /// Streams one event in; may trigger an assembly round.
-  void Push(const EventPtr& event) override;
-
-  /// Columnar ingest: offers in-order runs of the span to every leaf as
-  /// a batch (term-major predicate admission), triggering assembly
-  /// rounds at batch boundaries exactly as repeated Push would.
+  /// Columnar ingest: offers the span to the leaves in chunks that end
+  /// at batch boundaries, running an assembly round after each full
+  /// batch, so any split of a stream into spans yields the same rounds.
   void PushBatch(const EventBatch& batch) override;
 
-  /// Offers an event without round-triggering (PartitionedEngine drives
-  /// rounds itself).
-  void Offer(const EventPtr& event);
+  /// Offers an ordered span to every leaf (term-major predicate
+  /// admission) without round-triggering; PartitionedEngine drives
+  /// rounds itself. Late events inside the span are dropped and counted.
+  void Offer(const EventBatch& batch);
 
   /// Forces an assembly round (used at batch boundaries / stream end).
   void AssemblyRound();
 
-  /// Flushes the reorder stage (if any) and any pending partial batch.
+  /// Runs an assembly round over any pending partial batch.
   void Finish() override;
 
   /// Installs a match consumer; without one, matches are only counted.
@@ -139,9 +134,9 @@ class Engine : public EngineCore, private MatchSink {
   uint64_t events_pushed() const override { return events_pushed_; }
   uint64_t assembly_rounds() const { return assembly_rounds_; }
   uint64_t plan_switches() const { return plan_switches_; }
-  /// Events dropped for arriving out of order beyond the slack.
+  /// Events dropped for arriving out of timestamp order.
   uint64_t late_events() const { return late_events_; }
-  /// Events whose processing exceeded EngineOptions::slow_event_ns.
+  /// Ingest steps that exceeded EngineOptions::slow_event_ns.
   uint64_t slow_events() const { return slow_events_; }
   MemoryTracker& memory() override { return *tracker_; }
   WindowedClassStats* windowed_stats() { return windowed_stats_.get(); }
@@ -156,10 +151,6 @@ class Engine : public EngineCore, private MatchSink {
 
   Status Build(const PhysicalPlan& plan, bool initial,
                bool pre_verified = false);
-  void PushOrdered(const EventPtr& event);
-  /// Offers an ordered span to every leaf (batch admission); late
-  /// events inside the span are dropped and counted like Offer does.
-  void OfferSpan(const EventPtr* events, size_t n);
   Result<OperatorNode*> BuildNode(const PhysNodePtr& node,
                                   std::vector<ExprPtr>* unattached);
   void AttachPredicates(OperatorNode* op, std::vector<ExprPtr>* unattached);
@@ -194,7 +185,6 @@ class Engine : public EngineCore, private MatchSink {
 
   std::unique_ptr<WindowedClassStats> windowed_stats_;
   std::unique_ptr<AdaptiveController> adaptive_;
-  std::unique_ptr<ReorderStage> reorder_;
 
   MatchCallback callback_;
   int pending_in_batch_ = 0;

@@ -41,18 +41,17 @@ class EngineCore {
  public:
   virtual ~EngineCore() = default;
 
-  /// Streams one event in; may trigger assembly rounds.
-  virtual void Push(const EventPtr& event) = 0;
+  /// Streams a span of timestamp-ordered events in (the only ingest
+  /// path); may trigger assembly rounds. Events older than one already
+  /// pushed are dropped and counted as late: reordering happens upstream,
+  /// at the runtime shard (RuntimeOptions::reorder_slack).
+  virtual void PushBatch(const EventBatch& batch) = 0;
 
-  /// Streams a span of events in; may trigger assembly rounds. The
-  /// default forwards event-at-a-time; engines with a columnar ingest
-  /// path override this to amortize per-event dispatch.
-  virtual void PushBatch(const EventBatch& batch) {
-    for (size_t i = 0; i < batch.count; ++i) Push(batch.data[i]);
-  }
+  /// Streams one event in: a batch of one.
+  void Push(const EventPtr& event) { PushBatch(EventBatch{&event, 1}); }
 
-  /// Flushes pending state (reorder stages, partial batches). The engine
-  /// remains usable afterwards; Finish is a barrier, not a shutdown.
+  /// Flushes pending state (partial batches). The engine remains usable
+  /// afterwards; Finish is a barrier, not a shutdown.
   virtual void Finish() = 0;
 
   /// Installs a match consumer; without one, matches are only counted.

@@ -121,7 +121,7 @@ LeafNode::LeafNode(const Pattern* pattern, int class_idx,
   }
 }
 
-ZS_HOT bool LeafNode::Admit(const EventPtr& event) {
+ZS_HOT void LeafNode::Admit(const EventPtr& event) {
   // Probe with a non-owning alias in the reused slot vector: most
   // events are rejected by the pushed-down predicates, and rejecting
   // must not pay for materialization (refcount up/down on the event).
@@ -159,9 +159,7 @@ ZS_HOT bool LeafNode::Admit(const EventPtr& event) {
     if (!any) admitted = false;
   }
   probe_slots_[static_cast<size_t>(class_idx_)] = nullptr;
-  if (!admitted) return false;
-  Accept(event);
-  return true;
+  if (admitted) Accept(event);
 }
 
 ZS_HOT void LeafNode::Accept(const EventPtr& event) {
@@ -170,13 +168,6 @@ ZS_HOT void LeafNode::Accept(const EventPtr& event) {
   ++records_emitted_;
 #endif
   if (stats_ != nullptr) stats_->OnClassAdmit(class_idx_);
-}
-
-ZS_HOT bool LeafNode::Offer(const EventPtr& event) {
-#ifndef ZSTREAM_OBS_STRIPPED
-  ++offered_;
-#endif
-  return Admit(event);
 }
 
 ZS_HOT void LeafNode::OfferBatch(const EventPtr* events, int n) {

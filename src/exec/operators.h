@@ -161,9 +161,6 @@ class LeafNode : public OperatorNode {
 
   int class_idx() const { return class_idx_; }
 
-  /// Offers an incoming primitive event; returns true when admitted.
-  bool Offer(const EventPtr& event);
-
   /// Columnar admission: evaluates the pushed-down predicates term-major
   /// over the whole batch (compiled single-class shapes narrow a
   /// selection mask), then appends survivors. Falls back to per-event
@@ -182,7 +179,7 @@ class LeafNode : public OperatorNode {
     std::optional<CompiledPredicate> compiled;
   };
 
-  bool Admit(const EventPtr& event);
+  void Admit(const EventPtr& event);
   void Accept(const EventPtr& event);
 
   int class_idx_;

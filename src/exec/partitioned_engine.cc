@@ -20,15 +20,6 @@ PartitionedEngine::PartitionedEngine(PatternPtr pattern, PhysicalPlan plan,
     tracker_ = owned_tracker_.get();
   }
   plan_fingerprint_ = obs::Fnv1a64(plan_.Explain(*pattern_));
-  if (options_.reorder_slack > 0) {
-    reorder_ = std::make_unique<ReorderStage>(
-        options_.reorder_slack,
-        [this](const EventPtr& event) { PushOrdered(event); });
-    // Sub-engines receive already-ordered events; a per-partition stage
-    // would only buffer them again (and could not see cross-partition
-    // disorder anyway).
-    options_.reorder_slack = 0;
-  }
 }
 
 Result<std::unique_ptr<PartitionedEngine>> PartitionedEngine::Create(
@@ -72,27 +63,20 @@ Result<PartitionedEngine::Partition*> PartitionedEngine::GetOrCreate(
   return &pos->second;
 }
 
-ZS_HOT void PartitionedEngine::Push(const EventPtr& event) {
-  if (reorder_ != nullptr) {
-    reorder_->Push(event);
-    return;
-  }
-  PushOrdered(event);
-}
-
-ZS_HOT void PartitionedEngine::PushOrdered(const EventPtr& event) {
-  ++events_pushed_;
-  const Value& key = event->value(key_field_);
-  if (key.is_null()) return;
-  Result<Partition*> part = GetOrCreate(key);
-  if (!part.ok()) return;
-  (*part)->engine->Offer(event);
-  if (!(*part)->dirty) {
-    (*part)->dirty = true;
-    dirty_.push_back(*part);
-  }
-  if (++pending_in_batch_ >= options_.batch_size) {
-    RunRounds();
+ZS_HOT void PartitionedEngine::PushBatch(const EventBatch& batch) {
+  for (size_t i = 0; i < batch.count; ++i) {
+    const EventPtr& event = batch.data[i];
+    ++events_pushed_;
+    const Value& key = event->value(key_field_);
+    if (key.is_null()) continue;
+    Result<Partition*> part = GetOrCreate(key);
+    if (!part.ok()) continue;
+    (*part)->engine->Offer(EventBatch{&event, 1});
+    if (!(*part)->dirty) {
+      (*part)->dirty = true;
+      dirty_.push_back(*part);
+    }
+    if (++pending_in_batch_ >= options_.batch_size) RunRounds();
   }
 }
 
@@ -105,13 +89,10 @@ void PartitionedEngine::RunRounds() {
   pending_in_batch_ = 0;
 }
 
-void PartitionedEngine::Finish() {
-  if (reorder_ != nullptr) reorder_->Flush();
-  RunRounds();
-}
+void PartitionedEngine::Finish() { RunRounds(); }
 
 uint64_t PartitionedEngine::late_events() const {
-  uint64_t total = reorder_ != nullptr ? reorder_->late_dropped() : 0;
+  uint64_t total = 0;
   for (const auto& [key, part] : partitions_) {
     total += part.engine->late_events();
   }

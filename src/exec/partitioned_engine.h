@@ -14,7 +14,6 @@
 
 #include "exec/engine.h"
 #include "exec/engine_core.h"
-#include "exec/reorder.h"
 
 namespace zstream {
 
@@ -27,7 +26,9 @@ class PartitionedEngine : public EngineCore {
 
   ZS_DISALLOW_COPY_AND_ASSIGN(PartitionedEngine);
 
-  void Push(const EventPtr& event) override;
+  /// Routes each event to its key's sub-engine (Engine::Offer) and runs
+  /// the dirty partitions' assembly rounds every batch_size events.
+  void PushBatch(const EventBatch& batch) override;
   void Finish() override;
 
   /// Stored, then propagated to every existing partition AND to every
@@ -53,8 +54,7 @@ class PartitionedEngine : public EngineCore {
   uint64_t num_matches() const override;
   uint64_t events_pushed() const override { return events_pushed_; }
   uint64_t plan_switches() const { return plan_switches_; }
-  /// Events dropped for arriving out of order beyond the slack (the
-  /// partition-level reorder stage plus any per-partition drops).
+  /// Events the sub-engines dropped for arriving out of timestamp order.
   uint64_t late_events() const;
   /// Renders the current plan (reflects SwitchPlan updates).
   std::string ExplainPlan() const { return plan_.Explain(*pattern_); }
@@ -85,7 +85,6 @@ class PartitionedEngine : public EngineCore {
   };
 
   Result<Partition*> GetOrCreate(const Value& key);
-  void PushOrdered(const EventPtr& event);
   void RunRounds();
 
   PatternPtr pattern_;
@@ -94,12 +93,6 @@ class PartitionedEngine : public EngineCore {
   MemoryTracker* tracker_;
   std::unique_ptr<MemoryTracker> owned_tracker_;
   int key_field_ = -1;
-
-  /// Partition-level reordering: events must be re-sequenced BEFORE
-  /// they fan out to per-key sub-engines (each sub-engine only sees its
-  /// key's subsequence, so a per-partition stage could never restore
-  /// cross-partition round order).
-  std::unique_ptr<ReorderStage> reorder_;
 
   std::unordered_map<Value, Partition, ValueHasher> partitions_;
   std::vector<Partition*> dirty_;

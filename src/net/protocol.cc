@@ -269,6 +269,11 @@ void AppendEvent(std::string* out, const Event& event) {
 
 Result<EventPtr> ReadEvent(PayloadReader* in, const SchemaPtr& schema) {
   ZS_ASSIGN_OR_RETURN(int64_t ts, in->ReadI64());
+  if (!IsValidEventTimestamp(ts)) {
+    return Status::ParseError("event timestamp " + std::to_string(ts) +
+                              " outside the valid range +/-2^62")
+        .WithErrorCode(errc::kNetBadTimestamp);
+  }
   ZS_ASSIGN_OR_RETURN(uint16_t count, in->ReadU16());
   if (static_cast<int>(count) != schema->num_fields()) {
     return Status::SemanticError(

@@ -53,8 +53,6 @@ const char* SpanKindName(SpanKind kind) {
       return "wire_decode";
     case SpanKind::kQueueWait:
       return "queue_wait";
-    case SpanKind::kReorder:
-      return "reorder";
     case SpanKind::kExec:
       return "exec";
     case SpanKind::kOperator:

@@ -55,7 +55,6 @@ enum class SpanKind : uint8_t {
   kIngest = 0,     // client-side batch assembly + send
   kWireDecode,     // server frame payload decode
   kQueueWait,      // shard MPSC queue residency (enqueue -> dequeue)
-  kReorder,        // reorder-buffer residency
   kExec,           // one engine assembly round (whole batch iterator)
   kOperator,       // one physical operator evaluation within a round
   kMatch,          // match emission (root buffer drain)

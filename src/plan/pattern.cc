@@ -210,6 +210,9 @@ Status Pattern::Validate() const {
   if (window <= 0) {
     return Status::SemanticError("WITHIN window must be positive");
   }
+  if (window > kMaxEventTimestamp) {
+    return Status::SemanticError("WITHIN window exceeds 2^62 time units");
+  }
   if (root->is_class()) {
     const EventClass& ec = classes[static_cast<size_t>(root->class_idx)];
     if (ec.negated) {

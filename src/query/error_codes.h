@@ -55,6 +55,7 @@ inline constexpr char kNetEmptyPayload[] = "ZS-N0005";
 inline constexpr char kNetSchemaMismatch[] = "ZS-N0006";
 inline constexpr char kNetBatchTooLarge[] = "ZS-N0007";
 inline constexpr char kNetUnexpectedMessage[] = "ZS-N0008";
+inline constexpr char kNetBadTimestamp[] = "ZS-N0009";  // outside +/-2^62
 
 // Expression typechecker (src/verify/typecheck.*). Raised before any
 // event flows: these are the static versions of errors that previously

@@ -35,8 +35,9 @@ struct RuntimeOptions {
   int shard_batch_size = 256;
   /// Bounded out-of-orderness absorbed at the shard ingest path
   /// (Section 4.1's reordering operator, placed between the shard queue
-  /// and the engines): each shard buffers up to `reorder_slack` time
-  /// units per stream and releases events in timestamp order. Events
+  /// and the engines; the system's only reorder stage): each shard
+  /// buffers up to `reorder_slack` time units per stream and releases
+  /// events in timestamp order. Events
   /// arriving later than the slack allows are dropped and counted
   /// (RuntimeStats::late_dropped; still-buffered events show up as
   /// RuntimeStats::pending). 0 disables the stage: events reach the
@@ -44,8 +45,10 @@ struct RuntimeOptions {
   Duration reorder_slack = 0;
   /// Default slow-event log threshold (wall nanoseconds) applied to
   /// every engine registered without its own EngineOptions::slow_event_ns.
-  /// An event whose processing exceeds it emits one rate-limited
-  /// ZS_LOG(Warn) naming the query and its hottest plan node. 0 disables.
+  /// Checked per ingest step (one chunk of a dispatched span up to a
+  /// batch boundary plus the assembly round it triggers): a step over
+  /// it emits one rate-limited ZS_LOG(Warn) naming the query and its
+  /// hottest plan node. 0 disables.
   int64_t slow_event_ns = 0;
 };
 

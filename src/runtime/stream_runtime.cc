@@ -211,23 +211,25 @@ struct StreamRuntime::Shard {
   uint64_t last_arrival_ns = 0;
 
   // Worker-thread-local scratch for DispatchRun: the contiguous event
-  // span handed to PushBatch, and the per-query filtered subset for
-  // hash-routed queries. Reused across runs to stay allocation-free.
+  // span handed to PushBatch (a run, or what a reorder stage released),
+  // and the per-query filtered subset for hash-routed queries. Reused
+  // across runs to stay allocation-free.
   std::vector<EventPtr> span_scratch;
   std::vector<EventPtr> filter_scratch;
 
   // Worker-thread-local: one Section-4.1 reorder stage per stream,
   // created lazily when RuntimeOptions::reorder_slack > 0. Sits between
   // the shard queue and the engines, so every engine on the shard sees
-  // timestamp-ordered input even when producers interleave.
-  std::unordered_map<StreamId, std::unique_ptr<ReorderStage>> reorder;
+  // timestamp-ordered input even when producers interleave. The only
+  // reorder stage in the system: engines drop late events.
+  std::unordered_map<StreamId, ReorderStage> reorder;
 
   void PublishReorderCounters() {
     uint64_t late = 0;
     uint64_t pending = 0;
     for (const auto& [stream, stage] : reorder) {
-      late += stage->late_dropped();
-      pending += stage->pending();
+      late += stage.late_dropped();
+      pending += stage.pending();
     }
     reorder_late.store(late, std::memory_order_relaxed);
     reorder_pending.store(pending, std::memory_order_relaxed);
@@ -292,30 +294,9 @@ void StreamRuntime::Stop() {
 // Worker loop
 // ---------------------------------------------------------------------
 
-ZS_HOT void StreamRuntime::DispatchEvent(Shard* shard, StreamId stream,
-                                         const EventPtr& event,
-                                         int hint_field, size_t hint_hash) {
-  for (Shard::Entry& entry : shard->entries) {
-    if (entry.query->stream != stream) continue;
-    if (!entry.query->AcceptsOn(shard->index, event, hint_field,
-                                hint_hash)) {
-      continue;
-    }
-    entry.engine->Push(event);
-  }
-}
-
-ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, const ShardMsg* msgs,
-                                       size_t count) {
-  // All messages in a run share arrival_ns (same ingest batch), so the
-  // latency stamp is exact for every match the run emits.
-  shard->last_arrival_ns = msgs[0].arrival_ns;
-  const StreamId stream = msgs[0].stream;
-  std::vector<EventPtr>& span = shard->span_scratch;
-  span.clear();
-  for (size_t i = 0; i < count; ++i) {
-    span.push_back(msgs[i].event);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
-  }
+ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, StreamId stream,
+                                       const std::vector<EventPtr>& events,
+                                       const ShardMsg* hints) {
   for (Shard::Entry& entry : shard->entries) {
     const QueryState* q = entry.query;
     if (q->stream != stream) continue;
@@ -326,14 +307,15 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, const ShardMsg* msgs,
       case RoutePolicy::kBroadcast:
         break;
       case RoutePolicy::kHashKey: {
-        // Membership varies per event: filter the run down to this
-        // query's keys, reusing the router's hash hints.
+        // Membership varies per event: filter the span down to this
+        // query's keys, reusing the router's hash hints when present.
         std::vector<EventPtr>& mine = shard->filter_scratch;
         mine.clear();
-        for (size_t i = 0; i < count; ++i) {
-          if (q->AcceptsOn(shard->index, msgs[i].event,
-                           msgs[i].key_hint_field, msgs[i].key_hint_hash)) {
-            mine.push_back(msgs[i].event);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
+        for (size_t i = 0; i < events.size(); ++i) {
+          const int field = hints != nullptr ? hints[i].key_hint_field : -1;
+          const size_t hash = hints != nullptr ? hints[i].key_hint_hash : 0;
+          if (q->AcceptsOn(shard->index, events[i], field, hash)) {
+            mine.push_back(events[i]);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
           }
         }
         if (!mine.empty()) {
@@ -344,7 +326,7 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, const ShardMsg* msgs,
       case RoutePolicy::kAuto:
         continue;  // resolved at registration
     }
-    entry.engine->PushBatch(EventBatch{span.data(), span.size()});
+    entry.engine->PushBatch(EventBatch{events.data(), events.size()});
   }
 }
 
@@ -363,8 +345,15 @@ ZS_HOT void StreamRuntime::PublishMatchTallies(Shard* shard) {
   }
 }
 
-void StreamRuntime::FlushReorder(Shard* shard) {
-  for (auto& [stream, stage] : shard->reorder) stage->Flush();
+void StreamRuntime::FlushReorder(Shard* shard, StreamId only) {
+  std::vector<EventPtr>& span = shard->span_scratch;
+  for (auto& [stream, stage] : shard->reorder) {
+    if (only >= 0 && stream != only) continue;
+    span.clear();
+    stage.Flush(&span);
+    if (!span.empty()) DispatchRun(shard, stream, span, /*hints=*/nullptr);
+  }
+  span.clear();
   shard->PublishReorderCounters();
 }
 
@@ -383,63 +372,55 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
       ShardMsg& msg = batch[bi];
       switch (msg.kind) {
         case ShardMsg::Kind::kEvent: {
-          // Columnar fast path: hand consecutive untraced events from
-          // the same ingest batch to the engines as one span. Traced
-          // events keep the per-event path so queue-wait spans and
-          // trace ids stay per event; reordering keeps it because the
-          // reorder stage is inherently event-at-a-time.
-          if (!reordering && msg.trace_id == 0) {
-            size_t run_end = bi + 1;
-            while (run_end < batch.size() &&
-                   batch[run_end].kind == ShardMsg::Kind::kEvent &&
-                   batch[run_end].stream == msg.stream &&
-                   batch[run_end].trace_id == 0 &&
-                   batch[run_end].arrival_ns == msg.arrival_ns) {
-              ++run_end;
-            }
-            if (run_end - bi > 1) {
-              DispatchRun(shard, &batch[bi], run_end - bi);
-              PublishMatchTallies(shard);
-              shard->events_processed.fetch_add(
-                  run_end - bi, std::memory_order_relaxed);
-              bi = run_end - 1;
-              break;
-            }
+          // A run: consecutive events of one stream, one ingest batch
+          // (arrival stamp) and one trace id. It reaches the engines as
+          // one span, directly or through the stream's reorder stage.
+          size_t run_end = bi + 1;
+          while (run_end < batch.size() &&
+                 batch[run_end].kind == ShardMsg::Kind::kEvent &&
+                 batch[run_end].stream == msg.stream &&
+                 batch[run_end].trace_id == msg.trace_id &&
+                 batch[run_end].arrival_ns == msg.arrival_ns) {
+            ++run_end;
           }
-          // Matches emitted while this event is processed (including
-          // reorder releases it triggers) measure latency from its
-          // arrival — the emission-triggering ingest.
+          // Matches the run emits (including the reorder releases it
+          // triggers) measure latency from its arrival.
           shard->last_arrival_ns = msg.arrival_ns;
           obs::SetCurrentTrace(msg.trace_id);
-          // Queue residency: enqueue stamp to dequeue, on this shard's
-          // lane. The dominant latency contributor under load.
-          obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kQueueWait,
-                           msg.trace_id, msg.arrival_ns,
-                           obs::MonotonicNanos(), nullptr,
-                           static_cast<uint64_t>(shard->index));
-          if (reordering) {
-            auto it = shard->reorder.find(msg.stream);
-            if (it == shard->reorder.end()) {
-              // Reordered events lose their router key hint: released
-              // later, possibly interleaved across hints, they re-hash
-              // in AcceptsOn (hint_field -1).
-              auto stage = std::make_unique<ReorderStage>(
-                  options_.reorder_slack,
-                  [this, shard, stream = msg.stream](const EventPtr& e) {
-                    DispatchEvent(shard, stream, e, /*hint_field=*/-1,
-                                  /*hint_hash=*/0);
-                  });
-              it = shard->reorder.emplace(msg.stream, std::move(stage))
-                       .first;
-            }
-            it->second->Push(msg.event);
-          } else {
-            DispatchEvent(shard, msg.stream, msg.event, msg.key_hint_field,
-                          msg.key_hint_hash);
+          if (msg.trace_id != 0) {
+            // Queue residency: enqueue stamp to dequeue, on this shard's
+            // lane. The dominant latency contributor under load.
+            obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kQueueWait,
+                             msg.trace_id, msg.arrival_ns,
+                             obs::MonotonicNanos(), nullptr,
+                             static_cast<uint64_t>(shard->index));
           }
+          std::vector<EventPtr>& span = shard->span_scratch;
+          span.clear();
+          if (reordering) {
+            // Released events lose their router key hints: they may mix
+            // runs, so hash-routed queries re-hash them in AcceptsOn.
+            ReorderStage& stage =
+                shard->reorder.try_emplace(msg.stream, options_.reorder_slack)
+                    .first->second;
+            for (size_t i = bi; i < run_end; ++i) {
+              stage.Push(std::move(batch[i].event), &span);
+            }
+            if (!span.empty()) {
+              DispatchRun(shard, msg.stream, span, /*hints=*/nullptr);
+            }
+          } else {
+            for (size_t i = bi; i < run_end; ++i) {
+              span.push_back(std::move(batch[i].event));  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
+            }
+            DispatchRun(shard, msg.stream, span, &batch[bi]);
+          }
+          span.clear();
           PublishMatchTallies(shard);
           obs::SetCurrentTrace(0);
-          shard->events_processed.fetch_add(1, std::memory_order_relaxed);
+          shard->events_processed.fetch_add(run_end - bi,
+                                            std::memory_order_relaxed);
+          bi = run_end - 1;
           break;
         }
         case ShardMsg::Kind::kRegister: {
@@ -460,13 +441,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
             // retire. Side effect (as at the kFinishAll barrier):
             // other queries on the stream see those events now, and
             // later arrivals below the flushed frontier count as late.
-            if (reordering) {
-              auto stage = shard->reorder.find(msg.query->stream);
-              if (stage != shard->reorder.end()) {
-                stage->second->Flush();
-                shard->PublishReorderCounters();
-              }
-            }
+            if (reordering) FlushReorder(shard, msg.query->stream);
             it->engine->Finish();  // deliver pending matches first
             PublishMatchTallies(shard);
             shard->entries.erase(it);
@@ -480,7 +455,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
           // before this call is processed") covers them. Events
           // arriving after the barrier with timestamps below the flush
           // point count as late.
-          if (reordering) FlushReorder(shard);
+          if (reordering) FlushReorder(shard, /*only=*/-1);
           for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
           PublishMatchTallies(shard);
           msg.sync->Arrive();
@@ -548,7 +523,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
     if (reordering) shard->PublishReorderCounters();
   }
   // Queue closed and drained: flush so counters and sinks are complete.
-  if (reordering) FlushReorder(shard);
+  if (reordering) FlushReorder(shard, /*only=*/-1);
   for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
   PublishMatchTallies(shard);
 }

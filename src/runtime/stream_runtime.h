@@ -214,25 +214,24 @@ class StreamRuntime {
   explicit StreamRuntime(const RuntimeOptions& options);
 
   void WorkerLoop(Shard* shard);
-  /// Offers `event` to every engine on `shard` whose query routes it
-  /// there (the step downstream of the optional per-shard reorder
-  /// stage).
-  void DispatchEvent(Shard* shard, StreamId stream, const EventPtr& event,
-                     int hint_field, size_t hint_hash);
-  /// Offers a run of consecutive untraced events (same stream, same
-  /// ingest batch) to every engine on `shard` as one columnar span
-  /// (EngineCore::PushBatch). Hash-routed queries filter the run per
-  /// event first; pinned/broadcast queries take the span whole.
-  void DispatchRun(Shard* shard, const ShardMsg* msgs, size_t count);
+  /// Offers a timestamp-ordered span of `stream` events to every engine
+  /// on `shard` whose query routes them there, as one EngineCore::
+  /// PushBatch per engine. Hash-routed queries filter the span per event
+  /// first, reusing the router's key hashes from `hints` (parallel to
+  /// `events`) or re-hashing when `hints` is null.
+  void DispatchRun(Shard* shard, StreamId stream,
+                   const std::vector<EventPtr>& events,
+                   const ShardMsg* hints);
   /// Publishes the match tallies the shard's engine callbacks counted
   /// since the last call: one counter add and one latency-histogram
   /// observation per query, instead of per match. Called after every
   /// dispatch and before every barrier acknowledges, so query_matches
   /// and the histogram count are exact at Flush.
   void PublishMatchTallies(Shard* shard);
-  /// Drains the shard's reorder stages (stream end / flush barrier) and
-  /// refreshes the shard's published reorder counters.
-  void FlushReorder(Shard* shard);
+  /// Drains the shard's reorder stage for `only` (every stream when -1)
+  /// into its engines (stream end / flush barrier) and refreshes the
+  /// shard's published reorder counters.
+  void FlushReorder(Shard* shard, StreamId only);
   /// Shard bitmask for `entry`; for hash routes also records the key
   /// hash it computed into *hint_field/*hint_hash so the shard worker
   /// can reuse it instead of re-hashing.

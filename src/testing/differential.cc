@@ -134,8 +134,7 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
   };
   std::vector<TreeVariant> variants;
   {
-    CompileOptions base;
-    base.engine.reorder_slack = trace.max_disorder;
+    const CompileOptions base;
     TreeVariant opt{"tree:optimal", base};
     variants.push_back(opt);
     TreeVariant b1{"tree:optimal/batch1", base};
@@ -159,6 +158,9 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
       variants.push_back(nt);
     }
   }
+  // Engines take timestamp-ordered input; reordering lives only in the
+  // runtime shards (the runtime and net paths below get the raw trace).
+  const std::vector<EventPtr> sorted = TimestampSorted(trace.events);
   if (options_.tree) {
     for (const TreeVariant& v : variants) {
       if (!want(v.name)) continue;
@@ -175,7 +177,7 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
       (*query)->SetMatchCallback([&](Match&& m) {
         keys.push_back(EngineMatchKey(*pattern, m));
       });
-      for (const EventPtr& e : trace.events) (*query)->Push(e);
+      for (const EventPtr& e : sorted) (*query)->Push(e);
       (*query)->Finish();
       compare(v.name, std::move(keys));
     }
@@ -185,9 +187,7 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
   if (options_.nfa && want("nfa")) {
     auto nfa = NfaEngine::Create(pattern);
     if (nfa.ok()) {
-      for (const EventPtr& e : TimestampSorted(trace.events)) {
-        (*nfa)->Push(e);
-      }
+      for (const EventPtr& e : sorted) (*nfa)->Push(e);
       (*nfa)->Finish();
       ++report.paths_run;
       if ((*nfa)->num_matches() != expected.size()) {
@@ -204,11 +204,19 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
 
   // -- sharded runtime -------------------------------------------------
   if (options_.runtime) {
-    for (int shards : {1, 4}) {
-      const std::string path = "runtime:" + std::to_string(shards);
+    struct RuntimeVariant {
+      std::string name;
+      int shards;
+      bool batched;  // IngestBatch in ragged chunks instead of Ingest
+    };
+    for (const RuntimeVariant& v :
+         {RuntimeVariant{"runtime:1", 1, false},
+          RuntimeVariant{"runtime:4", 4, false},
+          RuntimeVariant{"runtime:2/batches", 2, true}}) {
+      const std::string& path = v.name;
       if (!want(path)) continue;
       runtime::RuntimeOptions ro;
-      ro.num_shards = shards;
+      ro.num_shards = v.shards;
       ro.reorder_slack = trace.max_disorder;
       auto rt = runtime::StreamRuntime::Create(ro);
       if (!rt.ok()) {
@@ -232,7 +240,23 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
         (*rt)->Stop();
         continue;
       }
-      for (const EventPtr& e : trace.events) (*rt)->Ingest(*sid, e);
+      if (v.batched) {
+        // Ragged chunks of 1..19 events (1, 4, 7, ... mod 19): shard
+        // runs of many lengths, cut at arbitrary points of the disorder.
+        const auto first = trace.events.begin();
+        size_t i = 0;
+        for (size_t k = 0; i < trace.events.size(); ++k) {
+          const size_t n =
+              std::min<size_t>(1 + (k * 3) % 19, trace.events.size() - i);
+          (*rt)->IngestBatch(
+              *sid, std::vector<EventPtr>(
+                        first + static_cast<std::ptrdiff_t>(i),
+                        first + static_cast<std::ptrdiff_t>(i + n)));
+          i += n;
+        }
+      } else {
+        for (const EventPtr& e : trace.events) (*rt)->Ingest(*sid, e);
+      }
       Status flushed = (*rt)->Flush();
       if (!flushed.ok()) {
         fail(path, flushed);

@@ -748,6 +748,64 @@ TEST(NetServer, TruncatedEventBatchOverWireIsCodedError) {
   EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kIngestAck);
 }
 
+// Event timestamps are untrusted input. The int64 extremes would
+// overflow the engines' window arithmetic (`ts - window`, `ts + 1`) and
+// the shard reorder stage's `ts - slack`; anything outside +/-2^62 is
+// refused with a coded error before it is ingested, and the connection
+// keeps serving. Run under UBSan, the accepted range ends prove the
+// margin is enough.
+TEST(NetServer, OutOfRangeTimestampIsCodedErrorAndRecovers) {
+  ZStream session;
+  for (const char* ddl :
+       {kStockDdl, kRallyDdl,
+        "CREATE QUERY spread ON stock AS "
+        "PATTERN A;B WHERE A.price < B.price WITHIN 100"}) {
+    ASSERT_TRUE(session.Execute(ddl).ok()) << ddl;
+  }
+  runtime::RuntimeOptions ropts;
+  ropts.num_shards = 2;
+  ropts.reorder_slack = 10;
+  auto server = Server::Create(&session, ropts);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)->Start().ok());
+  RawConn raw((*server)->port());
+  const auto batch_frame = [](Timestamp ts, double price) {
+    std::string payload;
+    net::PutString(&payload, "stock");
+    net::PutU64(&payload, 0);  // v3: trace id (unsampled)
+    net::PutU32(&payload, 1);
+    net::AppendEvent(&payload, *Stock("IBM", price, ts));
+    std::string frame;
+    net::AppendFrame(&frame, MsgType::kEventBatch, 0, payload);
+    return frame;
+  };
+
+  for (const Timestamp ts : {kMinTimestamp, kMaxTimestamp,
+                             kMinEventTimestamp - 1, kMaxEventTimestamp + 1}) {
+    raw.Write(batch_frame(ts, 1.0));
+    EXPECT_EQ(raw.ReadError().error_code(), errc::kNetBadTimestamp) << ts;
+  }
+  EXPECT_EQ((*server)->runtime().Stats().events_ingested, 0u);
+
+  // The range ends are valid: ingested, reordered and matched.
+  double price = 1.0;
+  for (const Timestamp ts : {kMinEventTimestamp, Timestamp{1}, Timestamp{2},
+                             kMaxEventTimestamp}) {
+    raw.Write(batch_frame(ts, price));
+    price += 1.0;
+    EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kIngestAck) << ts;
+  }
+  auto client = Client::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  ASSERT_TRUE((*client)->Flush().ok());
+  const runtime::RuntimeStats stats = (*server)->runtime().Stats();
+  EXPECT_EQ(stats.events_ingested, 4u);
+  EXPECT_EQ(stats.late_dropped, 0u);
+  EXPECT_EQ(stats.matches, 1u);  // spread: (1, 2)
+  (*client)->Close();
+  (*server)->Stop();
+}
+
 TEST(NetServer, OversizedFrameOverWireIsCodedErrorAndRecovers) {
   net::ServerOptions sopts;
   sopts.max_frame_payload = 1024;

@@ -221,6 +221,38 @@ TEST(ExplainAnalyze, EngineCountersReconcileWithEmittedMatches) {
             std::string::npos);
 }
 
+// A slow event is counted per ingest step: one Push, or one chunk of a
+// PushBatch up to a batch boundary plus the round that boundary
+// triggers. A 1 ns threshold makes every step slow, so the engine
+// counter, the registry series and EXPLAIN ANALYZE all count steps.
+TEST(SlowEvents, CountedPerIngestStep) {
+  const PatternPtr p = MustAnalyze(kQuery4);
+  const auto events = StockWorkload(100, 5);
+  EngineOptions options;
+  options.slow_event_ns = 1;
+  options.batch_size = 16;
+  options.label = "slow_steps";
+  auto engine = Engine::Create(p, LeftDeepPlan(*p), options);
+  ASSERT_TRUE(engine.ok());
+
+  // A single Push is one step.
+  (*engine)->Push(events[0]);
+  EXPECT_EQ((*engine)->slow_events(), 1u);
+  // Looked up after the engine registered the series (and its help).
+  obs::Counter* series = Registry::Default().GetCounter(
+      "zstream_slow_events_total", {{"query", "slow_steps"}});
+  EXPECT_EQ(series->value(), 1u);
+
+  // 99 more events with 1 pending: chunks of 15, then five of 16, then
+  // the remaining 4 — seven steps.
+  (*engine)->PushBatch(EventBatch{events.data() + 1, events.size() - 1});
+  EXPECT_EQ((*engine)->slow_events(), 8u);
+  EXPECT_EQ(series->value(), 8u);
+  EXPECT_NE((*engine)->ExplainAnalyze().find("slow_events=8"),
+            std::string::npos)
+      << (*engine)->ExplainAnalyze();
+}
+
 TEST(ExplainAnalyze, RuntimeCountersReconcileWithCollectingSink) {
   const auto events = StockWorkload(8000, 33);
   runtime::RuntimeOptions options;

@@ -1,5 +1,6 @@
 // PartitionedEngine: callback propagation to late-created partitions
-// (regression), cross-partition plan switching, and merged statistics.
+// (regression), cross-partition plan switching, merged statistics, span
+// ingest, and reordering in front of it.
 #include "exec/partitioned_engine.h"
 
 #include "test_util.h"
@@ -138,29 +139,70 @@ TEST(MergeStatsCatalogs, RatesSumAndSelectivitiesAverage) {
   EXPECT_DOUBLE_EQ(merged.window(), 100.0);
 }
 
-// Regression (zstream_fuzz): EngineOptions::reorder_slack used to be
-// ignored on the partitioned path — Push routed straight to the
-// sub-engine's Offer, which drops out-of-order events. The reorder
-// stage must sit BEFORE partition routing (a per-partition stage could
-// never see cross-partition disorder).
-TEST(PartitionedEngine, ReorderSlackAppliesBeforeRouting) {
+// PushBatch routes a span event by event and runs rounds every
+// batch_size events, so any split of the stream into spans yields the
+// per-event Push match set, including late drops inside a span.
+TEST(PartitionedEngine, PushBatchMatchesPerEventPush) {
   const PatternPtr p = MustAnalyze(kQuery);
-  EngineOptions options;
-  options.reorder_slack = 10;
-  auto engine = MakeEngine(p, LeftDeepPlan(*p), options);
-  uint64_t delivered = 0;
-  engine->SetMatchCallback([&](Match&&) { ++delivered; });
+  StockGenOptions gen;
+  gen.names = {"SYM0", "SYM1", "SYM2", "SYM3"};
+  gen.weights = {1, 1, 1, 1};
+  gen.num_events = 500;
+  std::vector<EventPtr> events = GenerateStockTrades(gen);
+  events.insert(events.begin() + 250, Stock("SYM1", 1.0, 3));  // late
+  for (const int batch_size : {1, 7, 64}) {
+    EngineOptions options;
+    options.batch_size = batch_size;
+    std::vector<std::string> expected;
+    auto serial = MakeEngine(p, LeftDeepPlan(*p), options);
+    serial->SetMatchCallback(
+        [&](Match&& m) { expected.push_back(MatchKey(m)); });
+    for (const EventPtr& e : events) serial->Push(e);
+    serial->Finish();
+    ASSERT_EQ(serial->late_events(), 1u);
+    std::sort(expected.begin(), expected.end());
+    ASSERT_FALSE(expected.empty());
 
-  // Same partition, out of order: @2 used to be dropped as late.
-  engine->Push(Stock("SYM0", 20.0, 9));
-  engine->Push(Stock("SYM0", 10.0, 2));
-  // Cross-partition interleaving, also out of order.
-  engine->Push(Stock("SYM1", 20.0, 8));
-  engine->Push(Stock("SYM1", 10.0, 3));
-  engine->Finish();
+    for (const size_t span : {size_t{3}, size_t{50}, events.size()}) {
+      std::vector<std::string> keys;
+      auto engine = MakeEngine(p, LeftDeepPlan(*p), options);
+      engine->SetMatchCallback(
+          [&](Match&& m) { keys.push_back(MatchKey(m)); });
+      for (size_t i = 0; i < events.size(); i += span) {
+        engine->PushBatch(
+            EventBatch{events.data() + i, std::min(span, events.size() - i)});
+      }
+      engine->Finish();
+      std::sort(keys.begin(), keys.end());
+      EXPECT_EQ(keys, expected) << "batch_size=" << batch_size
+                                << " span=" << span;
+      EXPECT_EQ(engine->late_events(), 1u);
+      EXPECT_EQ(engine->events_pushed(), events.size());
+    }
+  }
+}
 
-  EXPECT_EQ(engine->late_events(), 0u);
-  EXPECT_EQ(delivered, 2u);  // (10@2, 20@9) and (10@3, 20@8)
+// Regression (zstream_fuzz): reorder slack used to be ignored on the
+// partitioned path, which drops out-of-order events per sub-engine. The
+// reorder stage must sit BEFORE partition routing (a per-partition stage
+// could never see cross-partition disorder); it now lives only at the
+// runtime shard, in front of the PartitionedEngine.
+TEST(PartitionedEngine, ReorderSlackAppliesBeforeRouting) {
+  ASSERT_TRUE(MustAnalyze(kQuery)->partition.has_value());
+  const std::vector<EventPtr> events = {
+      // Same partition, out of order: @2 used to be dropped as late.
+      Stock("SYM0", 20.0, 9), Stock("SYM0", 10.0, 2),
+      // Cross-partition interleaving, also out of order.
+      Stock("SYM1", 20.0, 8), Stock("SYM1", 10.0, 3)};
+  CompileOptions compile;
+  compile.strategy = PlanStrategy::kLeftDeep;
+  for (const size_t chunk : {size_t{1}, events.size()}) {
+    const ReorderedRun run =
+        RunInReorderingRuntime(kQuery, compile, events, 10, chunk);
+    EXPECT_EQ(run.late_dropped, 0u) << "chunk=" << chunk;
+    // (10@2, 20@9) and (10@3, 20@8)
+    EXPECT_EQ(run.keys.size(), 2u) << "chunk=" << chunk;
+  }
 }
 
 }  // namespace

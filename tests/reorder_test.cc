@@ -1,6 +1,9 @@
-// Reordering stage (Section 4.1's disorder handling) and the engine's
-// late-event behaviour.
+// Reordering stage (Section 4.1's disorder handling), the runtime shard
+// that hosts it, and the engine's late-event behaviour.
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 #include "exec/reorder.h"
 #include "test_util.h"
@@ -9,42 +12,49 @@ namespace zstream {
 namespace {
 
 using testing::MustAnalyze;
+using testing::ReorderedRun;
+using testing::RunInReorderingRuntime;
 using testing::RunPlan;
 using testing::Stock;
 
-TEST(ReorderStage, EmitsInTimestampOrder) {
+std::vector<Timestamp> Timestamps(const std::vector<EventPtr>& events) {
   std::vector<Timestamp> out;
-  ReorderStage stage(5, [&](const EventPtr& e) {
-    out.push_back(e->timestamp());
-  });
+  for (const EventPtr& e : events) out.push_back(e->timestamp());
+  return out;
+}
+
+TEST(ReorderStage, EmitsInTimestampOrder) {
+  std::vector<EventPtr> out;
+  ReorderStage stage(5);
   for (Timestamp ts : {3, 1, 2, 8, 6, 7, 12}) {
-    stage.Push(EventBuilder(StockSchema()).At(ts).Build());
+    stage.Push(EventBuilder(StockSchema()).At(ts).Build(), &out);
   }
-  stage.Flush();
-  EXPECT_EQ(out, (std::vector<Timestamp>{1, 2, 3, 6, 7, 8, 12}));
+  // 12 arrived: everything at or below 12 - 5 is released.
+  EXPECT_EQ(Timestamps(out), (std::vector<Timestamp>{1, 2, 3, 6, 7}));
+  stage.Flush(&out);
+  EXPECT_EQ(Timestamps(out), (std::vector<Timestamp>{1, 2, 3, 6, 7, 8, 12}));
   EXPECT_EQ(stage.late_dropped(), 0u);
+  EXPECT_EQ(stage.pending(), 0u);
 }
 
 TEST(ReorderStage, DropsEventsBeyondSlack) {
-  std::vector<Timestamp> out;
-  ReorderStage stage(2, [&](const EventPtr& e) {
-    out.push_back(e->timestamp());
-  });
-  stage.Push(EventBuilder(StockSchema()).At(10).Build());
-  stage.Push(EventBuilder(StockSchema()).At(13).Build());  // emits <= 11
-  stage.Push(EventBuilder(StockSchema()).At(9).Build());   // too late
-  stage.Flush();
-  EXPECT_EQ(out, (std::vector<Timestamp>{10, 13}));
+  std::vector<EventPtr> out;
+  ReorderStage stage(2);
+  stage.Push(EventBuilder(StockSchema()).At(10).Build(), &out);
+  stage.Push(EventBuilder(StockSchema()).At(13).Build(), &out);  // emits <= 11
+  stage.Push(EventBuilder(StockSchema()).At(9).Build(), &out);   // too late
+  stage.Flush(&out);
+  EXPECT_EQ(Timestamps(out), (std::vector<Timestamp>{10, 13}));
   EXPECT_EQ(stage.late_dropped(), 1u);
 }
 
 TEST(ReorderStage, DuplicateTimestampsPreserved) {
-  int count = 0;
-  ReorderStage stage(5, [&](const EventPtr&) { ++count; });
-  stage.Push(EventBuilder(StockSchema()).At(4).Build());
-  stage.Push(EventBuilder(StockSchema()).At(4).Build());
-  stage.Flush();
-  EXPECT_EQ(count, 2);
+  std::vector<EventPtr> out;
+  ReorderStage stage(5);
+  stage.Push(EventBuilder(StockSchema()).At(4).Build(), &out);
+  stage.Push(EventBuilder(StockSchema()).At(4).Build(), &out);
+  stage.Flush(&out);
+  EXPECT_EQ(out.size(), 2u);
 }
 
 std::vector<EventPtr> Shuffled(const std::vector<EventPtr>& sorted,
@@ -68,10 +78,11 @@ std::vector<EventPtr> Shuffled(const std::vector<EventPtr>& sorted,
   return out;
 }
 
-TEST(EngineReorder, SlackRecoversShuffledStreamExactly) {
-  const PatternPtr p = MustAnalyze(
+TEST(RuntimeReorder, SlackRecoversShuffledStreamExactly) {
+  constexpr char kQuery[] =
       "PATTERN A;B;C WHERE A.name='A' AND B.name='B' AND C.name='C' "
-      "WITHIN 20");
+      "WITHIN 20";
+  const PatternPtr p = MustAnalyze(kQuery);
   Random rng(6);
   std::vector<EventPtr> sorted;
   Timestamp ts = 0;
@@ -83,11 +94,17 @@ TEST(EngineReorder, SlackRecoversShuffledStreamExactly) {
   const auto baseline = RunPlan(p, LeftDeepPlan(*p), sorted);
   ASSERT_FALSE(baseline.empty());
 
+  // The shard's reorder stage (slack > max disorder) hands the engine
+  // the in-order stream, event by event and in multi-event runs.
   const auto shuffled = Shuffled(sorted, 10, 7);
-  EngineOptions options;
-  options.reorder_slack = 12;  // > max disorder
-  const auto reordered = RunPlan(p, LeftDeepPlan(*p), shuffled, options);
-  EXPECT_EQ(reordered, baseline);
+  CompileOptions compile;
+  compile.strategy = PlanStrategy::kLeftDeep;
+  for (const size_t chunk : {size_t{1}, size_t{32}}) {
+    const ReorderedRun run =
+        RunInReorderingRuntime(kQuery, compile, shuffled, 12, chunk);
+    EXPECT_EQ(run.keys, baseline) << "chunk=" << chunk;
+    EXPECT_EQ(run.late_dropped, 0u) << "chunk=" << chunk;
+  }
 }
 
 TEST(EngineReorder, WithoutSlackLateEventsAreDroppedNotCorrupting) {
@@ -102,19 +119,34 @@ TEST(EngineReorder, WithoutSlackLateEventsAreDroppedNotCorrupting) {
   EXPECT_EQ((*engine)->num_matches(), 1u);  // (10, 12) only
 }
 
-TEST(EngineReorder, SlackDelaysButFinishFlushes) {
-  const PatternPtr p = MustAnalyze(
-      "PATTERN A;B WHERE A.name='A' AND B.name='B' WITHIN 20");
-  EngineOptions options;
+TEST(RuntimeReorder, SlackDelaysButFlushReleases) {
+  runtime::RuntimeOptions options;
+  options.num_shards = 1;
   options.reorder_slack = 100;
-  options.batch_size = 1;
-  auto engine = Engine::Create(p, LeftDeepPlan(*p), options);
-  (*engine)->Push(Stock("A", 1, 1));
-  (*engine)->Push(Stock("B", 1, 2));
+  auto rt = runtime::StreamRuntime::Create(options);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  ASSERT_TRUE(stream.ok());
+  CompileOptions compile;
+  compile.engine.batch_size = 1;
+  auto id = (*rt)->RegisterQuery(
+      *stream, "PATTERN A;B WHERE A.name='A' AND B.name='B' WITHIN 20",
+      compile);
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_TRUE((*rt)->Ingest(*stream, Stock("A", 1, 1)));
+  ASSERT_TRUE((*rt)->Ingest(*stream, Stock("B", 1, 2)));
+  // Wait until the shard has taken both events into its reorder stage.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((*rt)->Stats().pending < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ((*rt)->Stats().pending, 2u);
   // Everything is still pending inside the reorder stage.
-  EXPECT_EQ((*engine)->num_matches(), 0u);
-  (*engine)->Finish();
-  EXPECT_EQ((*engine)->num_matches(), 1u);
+  EXPECT_EQ((*rt)->query_matches(*id).ValueOr(99), 0u);
+  ASSERT_TRUE((*rt)->Flush().ok());
+  EXPECT_EQ((*rt)->query_matches(*id).ValueOr(99), 1u);
 }
 
 }  // namespace

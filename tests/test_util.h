@@ -15,6 +15,7 @@
 #include "exec/engine.h"
 #include "nfa/nfa_engine.h"
 #include "query/analyzer.h"
+#include "runtime/stream_runtime.h"
 
 namespace zstream::testing {
 
@@ -105,6 +106,54 @@ inline std::vector<std::string> RunPlan(const PatternPtr& pattern,
   (*engine)->Finish();
   std::sort(keys.begin(), keys.end());
   return keys;
+}
+
+/// Outcome of RunInReorderingRuntime.
+struct ReorderedRun {
+  std::vector<std::string> keys;  // sorted MatchKey()s
+  uint64_t late_dropped = 0;      // RuntimeStats::late_dropped
+};
+
+/// Runs `query` on a one-shard StreamRuntime whose shard reorders with
+/// `slack` (the system's only reorder stage), ingesting `events` through
+/// IngestBatch in chunks of `chunk` events, then flushes.
+inline ReorderedRun RunInReorderingRuntime(const std::string& query,
+                                           const CompileOptions& compile,
+                                           const std::vector<EventPtr>& events,
+                                           Duration slack, size_t chunk) {
+  ReorderedRun out;
+  runtime::RuntimeOptions options;
+  options.num_shards = 1;
+  options.reorder_slack = slack;
+  auto rt = runtime::StreamRuntime::Create(options);
+  if (!rt.ok()) {
+    ADD_FAILURE() << "runtime create failed: " << rt.status().ToString();
+    return out;
+  }
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  runtime::CollectingMatchSink sink;
+  runtime::QueryOptions qopts;
+  qopts.sink = &sink;
+  auto id = (*rt)->RegisterQuery(*stream, query, compile, qopts);
+  if (!id.ok()) {
+    ADD_FAILURE() << "register failed: " << id.status().ToString();
+    return out;
+  }
+  for (size_t i = 0; i < events.size(); i += chunk) {
+    const auto first = events.begin() + static_cast<std::ptrdiff_t>(i);
+    const size_t n = std::min(chunk, events.size() - i);
+    EXPECT_EQ((*rt)->IngestBatch(
+                  *stream, std::vector<EventPtr>(
+                               first, first + static_cast<std::ptrdiff_t>(n))),
+              0u);
+  }
+  EXPECT_TRUE((*rt)->Flush().ok());
+  for (const runtime::OwnedRuntimeMatch& m : sink.Take()) {
+    out.keys.push_back(MatchKey(m.match));
+  }
+  std::sort(out.keys.begin(), out.keys.end());
+  out.late_dropped = (*rt)->Stats().late_dropped;
+  return out;
 }
 
 // ---------------------------------------------------------------------

@@ -20,11 +20,12 @@
 //
 //   zstream_server metrics on http://127.0.0.1:45127/metrics
 //
-// --slow-event-ms N arms the slow-event log: any single event whose
-// evaluation in a plan exceeds the threshold is reported (rate-limited)
-// through ZS_LOG(Warn), tagged with the event's trace id when sampled,
-// and triggers a flight-recorder ring snapshot when --trace-dump-dir
-// is set.
+// --slow-event-ms N arms the slow-event log: any ingest step (a chunk
+// of a shard run plus the assembly round it triggers) whose evaluation
+// in a plan exceeds the threshold is reported (rate-limited) through
+// ZS_LOG(Warn), tagged with the run's trace id when sampled, and
+// triggers a flight-recorder ring snapshot when --trace-dump-dir is
+// set.
 //
 // --trace-sample N arms end-to-end tracing: every Nth ingest batch is
 // traced through decode, queueing, evaluation and fanout (1 = every
