@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   std::printf("spread matches (pinned):                   %llu\n",
               static_cast<unsigned long long>(
                   spread_matches.ok() ? *spread_matches : 0));
-  std::printf("runtime metrics: %s\n", (*rt)->Stats().ToJson().c_str());
+  std::printf("runtime metrics: %s\n", (*rt)->MetricsJson().c_str());
 
   // Sanity for the smoke test: the sink saw what the counter counted.
   if (rising_matches.ok() && rising_sink.size() != *rising_matches) {

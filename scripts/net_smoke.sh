@@ -8,10 +8,11 @@
 # produces — see tests/net_test.cc for the full match-set equality
 # assertion). Along the way it scrapes /metrics and /healthz before and
 # after the replay, asserting the Prometheus document is present and
-# the ingest counter is monotone, and renders EXPLAIN ANALYZE over the
-# wire. The server runs with --trace-sample 1 so the smoke also asserts
-# GET /trace serves a non-empty chrome://tracing document after the
-# replay.
+# the ingest counter is monotone, checks the registry-backed `stats`
+# totals line and the `stats --watch` ticker, and renders EXPLAIN
+# ANALYZE over the wire. The server runs with --trace-sample 1 so the
+# smoke also asserts GET /trace serves a non-empty chrome://tracing
+# document after the replay.
 #
 # Usage: scripts/net_smoke.sh [BUILD_DIR]    (default: build)
 set -euo pipefail
@@ -83,13 +84,23 @@ echo "== replaying stock workload over the wire =="
 "$BIN/zstream_cli" --port "$port" replay stock --stream stock \
   --events 20000 --symbols 16 --expect "rally=$EXPECT_MATCHES"
 
-echo "== stats =="
+echo "== stats (registry totals) =="
 stats=$("$BIN/zstream_cli" --port "$port" stats)
 echo "$stats"
 case "$stats" in
-  *'"events_ingested": 20000'*) ;;
+  *'events_ingested=20000 '*) ;;
   *) echo "error: stats did not report 20000 ingested events" >&2; exit 1 ;;
 esac
+
+echo "== stats --watch (delta ticker) =="
+watch=$("$BIN/zstream_cli" --port "$port" stats --watch --ticks 2 \
+  --interval-ms 100)
+printf '%s\n' "$watch"
+ticks=$(printf '%s\n' "$watch" | grep -cE '^ *[0-9]+\.[0-9]s ' || true)
+if [[ "$ticks" -ne 2 ]]; then
+  echo "error: stats --watch --ticks 2 printed $ticks tick lines" >&2
+  exit 1
+fi
 
 echo "== metrics after replay (monotonicity) =="
 after=$(http_get /metrics)

@@ -26,12 +26,11 @@ if [[ "${1:-}" == "--all" ]]; then
 else
   # The figure benches that anchor the perf trajectory (paper Figures
   # 8, 10 and 12): plan-shape throughput under selectivity sweeps, rate
-  # skew, and the complex Query 6 regimes — plus the StreamRuntime
-  # shard-count sweep so the trajectory captures multi-core scaling, the
-  # loopback-vs-in-process network ingest sweep so it captures the
-  # serving layer's wire overhead, and the observability-instrumentation
-  # overhead bound.
-  BENCHES=${BENCHES:-"bench_fig08_selectivity bench_fig10_rates bench_fig12_complex bench_runtime_scaling bench_net_ingest bench_obs_overhead"}
+  # skew, and the complex Query 6 regimes — plus the
+  # observability-instrumentation overhead bound. Runtime and wire
+  # overhead are measured end to end by zbench (runtime.overhead_ratio,
+  # the stock_rally_wire workload).
+  BENCHES=${BENCHES:-"bench_fig08_selectivity bench_fig10_rates bench_fig12_complex bench_obs_overhead"}
 fi
 
 for b in $BENCHES; do

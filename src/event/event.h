@@ -2,8 +2,8 @@
 //
 // A primitive event has a schema, one value per schema field and a single
 // timestamp (start == end, Section 3 of the paper). Composite events are
-// represented at execution time by exec::Record, which points back at its
-// constituent primitive events.
+// represented at execution time by buffer records (exec/buffer.h), which
+// point back at their constituent primitive events.
 #ifndef ZSTREAM_EVENT_EVENT_H_
 #define ZSTREAM_EVENT_EVENT_H_
 
@@ -57,6 +57,10 @@ class Event {
 };
 
 using EventPtr = std::shared_ptr<const Event>;
+/// The events a Kleene closure bound, shared by every record and match
+/// derived from that closure.
+using EventGroup = std::vector<EventPtr>;
+using EventGroupPtr = std::shared_ptr<const EventGroup>;
 
 /// \brief Convenience builder for tests, examples and generators.
 ///

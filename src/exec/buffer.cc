@@ -62,16 +62,14 @@ void Buffer::EnsureGroupColumn(Chunk& c) {
 
 void Buffer::ChargeGroup(const EventGroupPtr& g) {
   uint32_t& refs = group_refs_[g.get()];
-  if (++refs == 1) {
-    Account(sizeof(EventGroup) + g->capacity() * sizeof(EventPtr));
-  }
+  if (++refs == 1) Account(GroupByteSize(*g));
 }
 
 void Buffer::ReleaseGroup(const EventGroupPtr& g) {
   auto it = group_refs_.find(g.get());
   ZS_DCHECK(it != group_refs_.end());
   if (--it->second == 0) {
-    Unaccount(sizeof(EventGroup) + g->capacity() * sizeof(EventPtr));
+    Unaccount(GroupByteSize(*g));
     group_refs_.erase(it);
   }
 }
@@ -111,23 +109,6 @@ ZS_HOT void Buffer::FinishAppend(Chunk& c, uint32_t row, RecordId id) {
       index_->Insert(key_event->value(index_->field_idx()), id);
     }
   }
-}
-
-ZS_HOT RecordId Buffer::Append(const Record& record) {
-  if (arity_ == 0) arity_ = static_cast<int>(record.slots.size());
-  ZS_DCHECK(static_cast<int>(record.slots.size()) == arity_);
-  uint32_t row = 0;
-  Chunk* c = AppendRow(record.start_ts, record.end_ts, &row);
-  EventPtr* dst = &c->slots[row * static_cast<size_t>(arity_)];
-  for (int i = 0; i < arity_; ++i) dst[i] = record.slots[static_cast<size_t>(i)];
-  if (record.group != nullptr) {
-    EnsureGroupColumn(*c);
-    c->groups[row] = record.group;
-    ChargeGroup(record.group);
-  }
-  const RecordId id = next_id_;
-  FinishAppend(*c, row, id);
-  return id;
 }
 
 ZS_HOT RecordId Buffer::AppendEvent(int class_idx, const EventPtr& event) {

@@ -24,8 +24,9 @@
 #include <unordered_map>
 
 #include "common/memory_tracker.h"
+#include "event/event.h"
 #include "exec/hash_index.h"
-#include "exec/record.h"
+#include "expr/expr.h"
 
 namespace zstream {
 
@@ -70,10 +71,9 @@ class Buffer {
 
   /// `count_event_bytes` is set for leaf buffers, which account the
   /// resident primitive events' bytes in addition to record overhead.
-  /// `arity` fixes the slot-column width; 0 defers it to the first
-  /// append (convenient for tests feeding whole Records).
-  explicit Buffer(MemoryTracker* tracker, bool count_event_bytes = false,
-                  int arity = 0)
+  /// `arity` (> 0) fixes the slot-column width: the pattern's class
+  /// count.
+  Buffer(MemoryTracker* tracker, bool count_event_bytes, int arity)
       : tracker_(tracker),
         count_event_bytes_(count_event_bytes),
         arity_(arity) {}
@@ -83,12 +83,10 @@ class Buffer {
 
   int arity() const { return arity_; }
 
-  /// Appends a copy of a value-type record (compat path: NFA helpers and
-  /// tests); end timestamps must be non-decreasing.
-  RecordId Append(const Record& record);
+  // Every Append* requires non-decreasing end timestamps.
 
   /// Leaf fast path: appends a single-event record bound to `class_idx`
-  /// with span [ts, ts]. Requires a construction-time arity.
+  /// with span [ts, ts].
   RecordId AppendEvent(int class_idx, const EventPtr& event);
 
   /// Appends the slot-wise union of two records (disjoint class sets,
@@ -155,6 +153,12 @@ class Buffer {
 
   /// Total bytes currently accounted by this buffer.
   size_t tracked_bytes() const { return tracked_bytes_; }
+
+  /// Resident bytes of a Kleene group's payload, charged once per
+  /// distinct group however many records share it.
+  static size_t GroupByteSize(const EventGroup& g) {
+    return sizeof(EventGroup) + g.capacity() * sizeof(EventPtr);
+  }
 
  private:
   /// One fixed-capacity columnar chunk. All chunks but the last are

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/value.h"
-#include "exec/record.h"
 
 namespace zstream {
 
@@ -24,21 +23,9 @@ class HashIndex {
   int class_idx() const { return class_idx_; }
   int field_idx() const { return field_idx_; }
 
-  /// Extracts this index's key from a record (null when the slot is
-  /// unbound — such records are not indexed).
-  Value KeyOf(const Record& r) const {
-    const EventPtr& e = r.slots[static_cast<size_t>(class_idx_)];
-    return e == nullptr ? Value::Null() : e->value(field_idx_);
-  }
-
-  void Insert(const Record& r, uint64_t id) {
-    Value key = KeyOf(r);
-    if (key.is_null()) return;
-    buckets_[std::move(key)].push_back(id);
-  }
-
-  /// Columnar-buffer path: the caller extracted the key from the chunk's
-  /// slot column (null keys are not indexed).
+  /// Indexes record `id` under `key`, which the buffer read from the
+  /// record's slot `class_idx()`, field `field_idx()` (records with an
+  /// unbound slot or a null key are not indexed).
   void Insert(Value key, uint64_t id) {
     if (key.is_null()) return;
     buckets_[std::move(key)].push_back(id);

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/timestamp.h"
-#include "exec/record.h"
+#include "event/event.h"
 
 namespace zstream {
 

@@ -287,13 +287,6 @@ Result<FlushAck> Client::Flush() {
   return ReadFlushAck(&reader);
 }
 
-Result<std::string> Client::StatsJson() {
-  ZS_RETURN_IF_ERROR(SendFrame(MsgType::kStatsRequest, 0, ""));
-  ZS_ASSIGN_OR_RETURN(FrameParser::Frame frame,
-                      ReadUntil(MsgType::kStats));
-  return frame.payload;
-}
-
 Result<std::string> Client::Metrics(uint8_t format) {
   std::string payload;
   PutU8(&payload, format);

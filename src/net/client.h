@@ -76,9 +76,6 @@ class Client {
   /// returns. The reply carries per-query total match counts.
   Result<FlushAck> Flush();
 
-  /// The server's stats document (runtime + per-connection JSON).
-  Result<std::string> StatsJson();
-
   /// The server's metrics registry snapshot: Prometheus text by default
   /// (kMetricsFormatPrometheus), or the stable JSON rendering — the
   /// same documents the HTTP /metrics side port serves.

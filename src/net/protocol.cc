@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/macros.h"
 #include "query/error_codes.h"
@@ -65,8 +66,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kUnsubscribe: return "UNSUBSCRIBE";
     case MsgType::kUnsubscribeAck: return "UNSUBSCRIBE_ACK";
     case MsgType::kMatch: return "MATCH";
-    case MsgType::kStatsRequest: return "STATS_REQUEST";
-    case MsgType::kStats: return "STATS";
     case MsgType::kFlush: return "FLUSH";
     case MsgType::kFlushAck: return "FLUSH_ACK";
     case MsgType::kError: return "ERROR";
@@ -79,8 +78,10 @@ const char* MsgTypeName(MsgType type) {
 }
 
 bool IsValidMsgType(uint8_t raw) {
-  return raw >= static_cast<uint8_t>(MsgType::kDdl) &&
-         raw <= static_cast<uint8_t>(MsgType::kTrace);
+  // The switch above is the one list of live types: the retired codes
+  // (10 and 11, the STATS pair) fall through to "UNKNOWN" like any
+  // other unassigned byte.
+  return std::strcmp(MsgTypeName(static_cast<MsgType>(raw)), "UNKNOWN") != 0;
 }
 
 // ---------------------------------------------------------------------

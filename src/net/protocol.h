@@ -30,8 +30,6 @@
 //   kUnsubscribe   c->s  query name
 //   kUnsubscribeAck s->c query name
 //   kMatch         s->c  query name + match (span, slots, Kleene group)
-//   kStatsRequest  c->s  empty
-//   kStats         s->c  JSON document (runtime + per-connection stats)
 //   kFlush         c->s  empty; barrier over the runtime
 //   kFlushAck      s->c  per-query match counts
 //   kError         s->c  coded Status (code, ZS-xxxx, line/column, text)
@@ -42,6 +40,10 @@
 //   kTraceRequest  c->s  empty
 //   kTrace         s->c  Chrome-trace JSON document (same document the
 //                        HTTP /trace side port serves)
+//
+// Codes 10 and 11 (the former STATS request/reply) are retired: the
+// parser refuses them like any unassigned type (ZS-N0002 unknown type,
+// payload skipped, connection kept). Counters are read from kMetrics.
 //
 // This header is the single source of truth for the layout; see
 // docs/protocol.md for the prose version.
@@ -71,7 +73,11 @@ namespace zstream::net {
 /// spans join across client and server (obs/trace.h), plus the
 /// kTraceRequest/kTrace message pair. Each layout change is
 /// incompatible, so mixed-version peers must be rejected at the
-/// version byte rather than misparse frames.
+/// version byte rather than misparse frames. Retiring the STATS
+/// request/reply pair (codes 10/11) did not bump the version: no
+/// remaining frame changed layout, and a v3 peer that still sends 10
+/// gets a coded unknown-type error on a surviving connection, never a
+/// misparse.
 inline constexpr uint8_t kProtocolVersion = 3;
 inline constexpr size_t kFrameHeaderSize = 8;
 /// Hard upper bound on one frame's payload (16 MiB).
@@ -89,8 +95,7 @@ enum class MsgType : uint8_t {
   kUnsubscribe = 7,
   kUnsubscribeAck = 8,
   kMatch = 9,
-  kStatsRequest = 10,
-  kStats = 11,
+  // 10, 11: retired (STATS request/reply); refused by IsValidMsgType.
   kFlush = 12,
   kFlushAck = 13,
   kError = 14,

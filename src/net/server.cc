@@ -62,13 +62,6 @@ struct Server::Connection {
   std::vector<std::string> subscriptions;
   bool closing = false;
 
-  // Per-connection stats, reported in the kStats JSON document.
-  uint64_t frames_received = 0;
-  uint64_t events_ingested = 0;
-  uint64_t events_dropped = 0;
-  uint64_t matches_sent = 0;
-  uint64_t errors_sent = 0;
-
   explicit Connection(uint32_t max_payload) : parser(max_payload) {}
 
   bool SubscribedTo(const std::string& query) const {
@@ -429,7 +422,6 @@ void Server::HandleReadable(Connection* conn) {
 void Server::DispatchFrame(Connection* conn,
                            const FrameParser::Frame& frame) {
   frames_dispatched_.fetch_add(1, std::memory_order_relaxed);
-  ++conn->frames_received;
   switch (frame.header.type) {
     case MsgType::kDdl:
       if (frame.payload.empty()) {
@@ -448,9 +440,6 @@ void Server::DispatchFrame(Connection* conn,
       return;
     case MsgType::kUnsubscribe:
       HandleUnsubscribe(conn, frame.payload);
-      return;
-    case MsgType::kStatsRequest:
-      HandleStatsRequest(conn);
       return;
     case MsgType::kMetricsRequest:
       HandleMetricsRequest(conn, frame.payload);
@@ -621,8 +610,6 @@ void Server::HandleEventBatch(Connection* conn,
       runtime_->IngestBatch(*stream_id, events, trace_id);
   const uint64_t accepted =
       dropped >= events.size() ? 0 : events.size() - dropped;
-  conn->events_ingested += accepted;
-  conn->events_dropped += dropped;
   std::string ack;
   PutU64(&ack, accepted);
   PutU64(&ack, dropped);
@@ -668,10 +655,6 @@ void Server::HandleUnsubscribe(Connection* conn,
   std::string ack;
   PutString(&ack, *name);
   Send(conn, MsgType::kUnsubscribeAck, 0, ack);
-}
-
-void Server::HandleStatsRequest(Connection* conn) {
-  Send(conn, MsgType::kStats, 0, BuildStatsJson());
 }
 
 void Server::HandleMetricsRequest(Connection* conn,
@@ -745,7 +728,6 @@ void Server::DrainMatches() {
     for (auto& [fd, conn] : connections_) {
       if (conn->closing || !conn->SubscribedTo(name_it->second)) continue;
       Queue(conn.get(), MsgType::kMatch, 0, payload);
-      ++conn->matches_sent;
       ++fanned;
       matches_fanned_out_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -763,7 +745,7 @@ void Server::DrainMatches() {
 }
 
 // ---------------------------------------------------------------------
-// Writes and stats
+// Writes
 // ---------------------------------------------------------------------
 
 void Server::Queue(Connection* conn, MsgType type, uint8_t flags,
@@ -789,7 +771,6 @@ void Server::Send(Connection* conn, MsgType type, uint8_t flags,
 void Server::SendError(Connection* conn, const Status& status) {
   std::string payload;
   AppendStatusPayload(&payload, status);
-  ++conn->errors_sent;
   Send(conn, MsgType::kError, 0, payload);
 }
 
@@ -815,38 +796,11 @@ void Server::FlushWrites(Connection* conn) {
   }
 }
 
-std::string Server::BuildStatsJson() const {
-  std::string out = "{\"server\": {";
-  out += "\"connections\": " + std::to_string(connections_.size());
-  out += ", \"queries\": " + std::to_string(queries_.size());
-  out += ", \"frames_dispatched\": " +
-         std::to_string(frames_dispatched_.load(std::memory_order_relaxed));
-  out += ", \"matches_fanned_out\": " +
-         std::to_string(matches_fanned_out_.load(std::memory_order_relaxed));
-  out += "}, \"connections\": [";
-  bool first = true;
-  for (const auto& [fd, conn] : connections_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"id\": " + std::to_string(conn->id);
-    out += ", \"frames_received\": " + std::to_string(conn->frames_received);
-    out += ", \"events_ingested\": " + std::to_string(conn->events_ingested);
-    out += ", \"events_dropped\": " + std::to_string(conn->events_dropped);
-    out += ", \"matches_sent\": " + std::to_string(conn->matches_sent);
-    out += ", \"errors_sent\": " + std::to_string(conn->errors_sent);
-    out += ", \"subscriptions\": " +
-           std::to_string(conn->subscriptions.size());
-    out += "}";
-  }
-  out += "], \"runtime\": " + runtime_->Stats().ToJson() + "}";
-  return out;
-}
-
 // ---------------------------------------------------------------------
 // Metrics exposition (wire kMetrics + HTTP side port)
 // ---------------------------------------------------------------------
 
-std::string Server::MetricsText() {
+void Server::MirrorMetrics() {
   obs::Registry& reg = runtime_->metrics_registry();
   reg.GetGauge("zstream_server_connections", {},
                "Open protocol connections")
@@ -857,16 +811,21 @@ std::string Server::MetricsText() {
   reg.GetCounter("zstream_server_matches_fanned_out_total", {},
                  "Match frames queued to subscribers")
       ->Store(matches_fanned_out_.load(std::memory_order_relaxed));
+  runtime_->UpdateMetrics();
+}
+
+std::string Server::MetricsText() {
+  MirrorMetrics();
   // The runtime registry (shard/query series + the server series just
   // mirrored) and the process-wide registry (planner, verifier,
   // slow-event counters) have disjoint family names, so the Prometheus
   // documents concatenate into one valid exposition.
-  return runtime_->MetricsPrometheus() +
+  return runtime_->metrics_registry().RenderPrometheus() +
          obs::Registry::Default().RenderPrometheus();
 }
 
 std::string Server::MetricsJsonDoc() {
-  MetricsText();  // mirror the server + runtime series first
+  MirrorMetrics();
   return "{\"runtime\": " + runtime_->metrics_registry().RenderJson() +
          ", \"process\": " + obs::Registry::Default().RenderJson() + "}";
 }

@@ -143,14 +143,17 @@ class Server {
   void HandleEventBatch(Connection* conn, const std::string& payload);
   void HandleSubscribe(Connection* conn, const std::string& payload);
   void HandleUnsubscribe(Connection* conn, const std::string& payload);
-  void HandleStatsRequest(Connection* conn);
   void HandleMetricsRequest(Connection* conn, const std::string& payload);
   void HandleFlush(Connection* conn);
   void DrainMatches();
 
-  /// The full metrics document: server-level series mirrored into the
-  /// runtime registry, then runtime + process-default registries
-  /// rendered (Prometheus families concatenate; both sets are disjoint).
+  /// The one refresh step of every scrape: mirrors the server-level
+  /// series into the runtime registry, then the runtime's own
+  /// (StreamRuntime::UpdateMetrics).
+  void MirrorMetrics();
+  /// The full metrics document: MirrorMetrics, then runtime +
+  /// process-default registries rendered (Prometheus families
+  /// concatenate; both sets are disjoint).
   std::string MetricsText();
   std::string MetricsJsonDoc();
   void AcceptHttpPending();
@@ -167,7 +170,6 @@ class Server {
             std::string_view payload);
   void SendError(Connection* conn, const Status& status);
   void FlushWrites(Connection* conn);
-  std::string BuildStatsJson() const;
 
   ZStream* session_;
   ServerOptions options_;

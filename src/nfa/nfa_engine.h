@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/memory_tracker.h"
-#include "exec/record.h"
+#include "nfa/record.h"
 #include "plan/pattern.h"
 
 namespace zstream {

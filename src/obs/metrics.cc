@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -290,6 +291,27 @@ std::string Registry::RenderJson() const {
   }
   os << "}";
   return os.str();
+}
+
+size_t Registry::RemoveSeriesLabeled(const std::string& key,
+                                     const std::string& value) {
+  const std::pair<std::string, std::string> label(key, value);
+  zs::MutexLock lock(mu_);
+  size_t removed = 0;
+  for (auto fam = families_.begin(); fam != families_.end();) {
+    auto& series = fam->second.series;
+    for (auto it = series.begin(); it != series.end();) {
+      const Labels& labels = it->second.labels;
+      if (std::find(labels.begin(), labels.end(), label) != labels.end()) {
+        it = series.erase(it);
+        ++removed;
+      } else {
+        ++it;
+      }
+    }
+    fam = series.empty() ? families_.erase(fam) : std::next(fam);
+  }
+  return removed;
 }
 
 Registry& Registry::Default() {

@@ -152,6 +152,15 @@ class Registry {
   /// "p95", "p99"}]}} with the same deterministic ordering.
   std::string RenderJson() const;
 
+  /// Drops every series, in any family, whose labels include
+  /// (`key`, `value`) — for series whose subject is gone (a retired
+  /// query). Pointers handed out for them stay valid but are no longer
+  /// rendered; the instruments' storage is not reclaimed. A later Get
+  /// with the same labels registers a fresh, zeroed series. Returns the
+  /// number of series removed.
+  size_t RemoveSeriesLabeled(const std::string& key,
+                             const std::string& value);
+
   /// The process-wide registry used by layers with no better home for
   /// their counters (planner, verifier, adaptive controller).
   static Registry& Default();

@@ -37,11 +37,10 @@ struct RuntimeOptions {
   /// (Section 4.1's reordering operator, placed between the shard queue
   /// and the engines; the system's only reorder stage): each shard
   /// buffers up to `reorder_slack` time units per stream and releases
-  /// events in timestamp order. Events
-  /// arriving later than the slack allows are dropped and counted
-  /// (RuntimeStats::late_dropped; still-buffered events show up as
-  /// RuntimeStats::pending). 0 disables the stage: events reach the
-  /// engines in queue order.
+  /// events in timestamp order. Events arriving later than the slack
+  /// allows are dropped and counted (zstream_shard_reorder_late_total;
+  /// still-buffered events show up as zstream_shard_reorder_pending).
+  /// 0 disables the stage: events reach the engines in queue order.
   Duration reorder_slack = 0;
   /// Default slow-event log threshold (wall nanoseconds) applied to
   /// every engine registered without its own EngineOptions::slow_event_ns.

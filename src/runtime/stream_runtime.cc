@@ -943,6 +943,14 @@ Result<uint64_t> StreamRuntime::UnregisterQuery(QueryId id) {
   {
     zs::MutexLock control(control_mu_);
     queries_.erase(id);
+    // The runtime-wide matches total stays monotone, and the query's
+    // own series leave the registry so a later query under the same
+    // label starts from zero (unless a live query still shares it).
+    retired_matches_ += final_matches;
+    const bool label_in_use = std::any_of(
+        queries_.begin(), queries_.end(),
+        [&](const auto& entry) { return entry.second->label == qs->label; });
+    if (!label_in_use) registry_.RemoveSeriesLabeled("query", qs->label);
   }
   return final_matches;
 }
@@ -957,7 +965,7 @@ Status StreamRuntime::Flush() {
   }
   // No control_mu_ here: shards_ is immutable after Create, and a
   // worker's Finish -> MatchSink callback may itself take control_mu_
-  // via an accessor (query_matches, Stats).
+  // via an accessor (query_matches, UpdateMetrics).
   std::vector<int> all;
   for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
     all.push_back(s);
@@ -1148,54 +1156,54 @@ Result<std::string> StreamRuntime::ExplainAnalyze(QueryId id) {
 }
 
 void StreamRuntime::UpdateMetrics() {
-  const RuntimeStats stats = Stats();
   obs::Registry& reg = registry_;
   reg.GetGauge("zstream_uptime_seconds", {},
                "Seconds since the runtime was created")
-      ->Set(static_cast<int64_t>(stats.elapsed_s));
+      ->Set(static_cast<int64_t>(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start_time_)
+              .count()));
   reg.GetCounter("zstream_events_ingested_total", {},
                  "Events accepted by Ingest/IngestBatch")
-      ->Store(stats.events_ingested);
-  reg.GetCounter("zstream_matches_total", {},
-                 "Matches emitted across all registered queries")
-      ->Store(stats.matches);
+      ->Store(events_ingested_.load(std::memory_order_relaxed));
   reg.GetCounter("zstream_events_traced_total", {},
                  "Events ingested carrying a sampled trace id")
-      ->Store(stats.events_traced);
-  reg.GetGauge("zstream_queries", {}, "Currently registered queries")
-      ->Set(static_cast<int64_t>(stats.num_queries));
-  for (const ShardStats& s : stats.shards) {
-    const obs::Labels labels = {{"shard", std::to_string(s.shard)}};
+      ->Store(events_traced_.load(std::memory_order_relaxed));
+  for (const auto& shard : shards_) {
+    const obs::Labels labels = {{"shard", std::to_string(shard->index)}};
     reg.GetCounter("zstream_shard_events_processed_total", labels,
                    "Events dispatched to engines, per shard")
-        ->Store(s.events_processed);
+        ->Store(shard->events_processed.load(std::memory_order_relaxed));
     reg.GetCounter("zstream_shard_batches_total", labels,
                    "Queue batches popped, per shard")
-        ->Store(s.batches);
+        ->Store(shard->batches.load(std::memory_order_relaxed));
     reg.GetCounter("zstream_shard_events_dropped_total", labels,
                    "Events dropped on a full queue (kDropNewest)")
-        ->Store(s.events_dropped);
+        ->Store(shard->dropped.load(std::memory_order_relaxed));
     reg.GetCounter("zstream_shard_reorder_late_total", labels,
                    "Events dropped for arriving beyond the reorder slack")
-        ->Store(s.late_dropped);
+        ->Store(shard->reorder_late.load(std::memory_order_relaxed));
     reg.GetGauge("zstream_shard_queue_depth", labels,
                  "Messages waiting in the shard's ring queue")
-        ->Set(static_cast<int64_t>(s.queue_depth));
+        ->Set(static_cast<int64_t>(shard->queue.size()));
     reg.GetGauge("zstream_shard_reorder_pending", labels,
                  "Events buffered in the shard's reorder stages")
-        ->Set(static_cast<int64_t>(s.pending));
+        ->Set(static_cast<int64_t>(
+            shard->reorder_pending.load(std::memory_order_relaxed)));
   }
-  std::vector<std::shared_ptr<QueryState>> queries;
-  {
-    zs::MutexLock control(control_mu_);
-    queries.reserve(queries_.size());
-    for (const auto& [qid, qstate] : queries_) queries.push_back(qstate);
-  }
-  for (const auto& qs : queries) {
+  // Under control_mu_ so UnregisterQuery's retire (tally + series
+  // removal) is never interleaved with this mirror: a retired query's
+  // series cannot be re-created here, and the matches total moves from
+  // the live sum to the retired tally in one step.
+  zs::MutexLock control(control_mu_);
+  uint64_t matches = retired_matches_;
+  for (const auto& [qid, qs] : queries_) {
+    const uint64_t query_matches = qs->matches.load(std::memory_order_relaxed);
+    matches += query_matches;
     const obs::Labels labels = {{"query", qs->label}};
     reg.GetCounter("zstream_query_matches_total", labels,
                    "Matches emitted by the query")
-        ->Store(qs->matches.load(std::memory_order_relaxed));
+        ->Store(query_matches);
     reg.GetGauge("zstream_query_plan_cost_estimate", labels,
                  "Estimated cost of the installed plan (rounded; "
                  "refreshed on adaptive switches)")
@@ -1209,6 +1217,12 @@ void StreamRuntime::UpdateMetrics() {
                  "Peak tracked engine memory across the query's shards")
         ->Set(qs->tracker->peak_bytes());
   }
+  reg.GetCounter("zstream_matches_total", {},
+                 "Matches emitted by every query this runtime has served, "
+                 "unregistered ones included")
+      ->Store(matches);
+  reg.GetGauge("zstream_queries", {}, "Currently registered queries")
+      ->Set(static_cast<int64_t>(queries_.size()));
 }
 
 std::string StreamRuntime::MetricsPrometheus() {
@@ -1219,45 +1233,6 @@ std::string StreamRuntime::MetricsPrometheus() {
 std::string StreamRuntime::MetricsJson() {
   UpdateMetrics();
   return registry_.RenderJson();
-}
-
-RuntimeStats StreamRuntime::Stats() const {
-  RuntimeStats out;
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_time_)
-          .count();
-  out.elapsed_s = elapsed;
-  out.events_ingested = events_ingested_.load(std::memory_order_relaxed);
-  out.events_traced = events_traced_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    ShardStats s;
-    s.shard = shard->index;
-    s.events_processed =
-        shard->events_processed.load(std::memory_order_relaxed);
-    s.batches = shard->batches.load(std::memory_order_relaxed);
-    s.events_dropped = shard->dropped.load(std::memory_order_relaxed);
-    s.queue_depth = shard->queue.size();
-    s.throughput_eps =
-        elapsed > 0.0 ? static_cast<double>(s.events_processed) / elapsed
-                      : 0.0;
-    s.late_dropped = shard->reorder_late.load(std::memory_order_relaxed);
-    s.pending = static_cast<size_t>(
-        shard->reorder_pending.load(std::memory_order_relaxed));
-    out.events_processed += s.events_processed;
-    out.events_dropped += s.events_dropped;
-    out.late_dropped += s.late_dropped;
-    out.pending += s.pending;
-    out.shards.push_back(s);
-  }
-  {
-    zs::MutexLock control(control_mu_);
-    out.num_queries = queries_.size();
-    for (const auto& [id, qs] : queries_) {
-      out.matches += qs->matches.load(std::memory_order_relaxed);
-    }
-  }
-  return out;
 }
 
 std::shared_ptr<Gate> StreamRuntime::PauseShard(int shard) {

@@ -39,7 +39,6 @@
 #include "opt/adaptive.h"
 #include "runtime/match_sink.h"
 #include "runtime/runtime_options.h"
-#include "runtime/runtime_stats.h"
 
 namespace zstream::runtime {
 
@@ -112,7 +111,8 @@ class StreamRuntime {
                                 const QueryOptions& options = {});
 
   /// Flushes and retires the query on every shard; returns its final
-  /// match count.
+  /// match count. The count stays in zstream_matches_total; the query's
+  /// `query=` series leave the registry.
   Result<uint64_t> UnregisterQuery(QueryId id);
 
   /// Routes one event to the shards that need it. Thread-safe (any
@@ -161,9 +161,6 @@ class StreamRuntime {
   /// Requires QueryOptions::enable_replan at registration.
   Result<bool> ReplanQuery(QueryId id);
 
-  /// Snapshot of the runtime counters (see runtime_stats.h).
-  RuntimeStats Stats() const;
-
   /// The query's merged plan tree annotated with live per-node counters
   /// (EXPLAIN ANALYZE). A barrier: every shard worker snapshots its
   /// engine's profile at a message boundary, so counters are consistent
@@ -176,9 +173,12 @@ class StreamRuntime {
   /// runtime's lifetime.
   obs::Registry& metrics_registry() { return registry_; }
 
-  /// Mirrors the live shard and query counters into the registry (the
-  /// registry otherwise only sees latency observations, which are
-  /// written in-line). Called by the renderers below; cheap, lock-light.
+  /// The one refresh step: mirrors the live ingest, shard and query
+  /// counters into the registry (which otherwise only sees latency
+  /// observations, written in-line by the shard workers). Every reader
+  /// of the registry — the renderers below, the server's scrapes,
+  /// tests — calls it first. Cheap and lock-light; safe from any
+  /// thread, MatchSink callbacks included.
   void UpdateMetrics();
 
   /// UpdateMetrics + render: Prometheus text exposition / stable JSON.
@@ -259,6 +259,9 @@ class StreamRuntime {
   mutable zs::Mutex control_mu_;  // queries_, registration round-robin
   std::unordered_map<QueryId, std::shared_ptr<QueryState>> queries_
       ZS_GUARDED_BY(control_mu_);
+  /// Final match counts of unregistered queries, so
+  /// zstream_matches_total never runs backwards when a query retires.
+  uint64_t retired_matches_ ZS_GUARDED_BY(control_mu_) = 0;
   QueryId next_query_id_ ZS_GUARDED_BY(control_mu_) = 1;
   int next_pin_ ZS_GUARDED_BY(control_mu_) = 0;
 

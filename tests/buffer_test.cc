@@ -12,28 +12,36 @@
 namespace zstream {
 namespace {
 
-Record Rec(Timestamp start, Timestamp end) {
-  Record r;
-  r.start_ts = start;
-  r.end_ts = end;
-  r.slots.assign(1, EventBuilder(StockSchema()).At(end).Build());
-  return r;
+EventPtr Ev(Timestamp ts) { return EventBuilder(StockSchema()).At(ts).Build(); }
+
+EventPtr Named(const std::string& name, Timestamp ts) {
+  return EventBuilder(StockSchema()).Set("name", Value(name)).At(ts).Build();
+}
+
+// Appends a one-class record spanning [start, end] through the generic
+// slot path, binding `event` (a fresh event at `end` when null) and
+// carrying `group` when set.
+RecordId Add(Buffer& b, Timestamp start, Timestamp end,
+             const EventGroupPtr& group = nullptr, EventPtr event = nullptr) {
+  const EventPtr slot = event != nullptr ? std::move(event) : Ev(end);
+  return b.AppendSlots(start, end, &slot, /*fallback=*/nullptr,
+                       /*num_slots=*/1, group);
 }
 
 TEST(Buffer, AppendAssignsSequentialIds) {
   MemoryTracker t;
-  Buffer b(&t);
-  EXPECT_EQ(b.Append(Rec(1, 1)), 0u);
-  EXPECT_EQ(b.Append(Rec(2, 2)), 1u);
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
+  EXPECT_EQ(Add(b, 1, 1), 0u);
+  EXPECT_EQ(Add(b, 2, 2), 1u);
   EXPECT_EQ(b.size(), 2u);
   EXPECT_EQ(b.Get(1).end_ts, 2);
 }
 
 TEST(Buffer, WatermarkTracksConsumption) {
   MemoryTracker t;
-  Buffer b(&t);
-  b.Append(Rec(1, 1));
-  b.Append(Rec(2, 2));
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
+  Add(b, 1, 1);
+  Add(b, 2, 2);
   EXPECT_TRUE(b.HasUnconsumed());
   EXPECT_EQ(*b.FirstUnconsumedEndTs(), 1);
   b.SetWatermark(2);
@@ -44,8 +52,8 @@ TEST(Buffer, WatermarkTracksConsumption) {
 
 TEST(Buffer, PurgeBeforeRemovesExpiredPrefix) {
   MemoryTracker t;
-  Buffer b(&t);
-  for (int i = 0; i < 10; ++i) b.Append(Rec(i, i));
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
+  for (int i = 0; i < 10; ++i) Add(b, i, i);
   b.PurgeBefore(5);
   EXPECT_EQ(b.base_id(), 5u);
   EXPECT_EQ(b.size(), 5u);
@@ -56,40 +64,34 @@ TEST(Buffer, PurgeBeforeRemovesExpiredPrefix) {
 
 TEST(Buffer, PurgeStopsAtFirstLiveRecord) {
   MemoryTracker t;
-  Buffer b(&t);
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
   // A record with early end but late start blocks the purge behind it.
-  b.Append(Rec(10, 10));
-  b.Append(Rec(2, 11));  // start 2 (expired) but behind a live record
+  Add(b, 10, 10);
+  Add(b, 2, 11);  // start 2 (expired) but behind a live record
   b.PurgeBefore(5);
   EXPECT_EQ(b.size(), 2u);  // front record is live, so nothing popped
 }
 
 TEST(Buffer, ClearReleasesEverything) {
   MemoryTracker t;
-  Buffer b(&t);
-  for (int i = 0; i < 4; ++i) b.Append(Rec(i, i));
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
+  for (int i = 0; i < 4; ++i) Add(b, i, i);
   const auto bytes = t.current_bytes();
   EXPECT_GT(bytes, 0);
   b.Clear();
   EXPECT_EQ(t.current_bytes(), 0);
   EXPECT_EQ(b.base_id(), 4u);
   // Ids continue monotonically after a clear.
-  EXPECT_EQ(b.Append(Rec(9, 9)), 4u);
+  EXPECT_EQ(Add(b, 9, 9), 4u);
 }
 
 TEST(Buffer, MemoryAccountingLeafCountsEvents) {
   MemoryTracker t_leaf, t_internal;
-  Buffer leaf(&t_leaf, /*count_event_bytes=*/true);
-  Buffer internal(&t_internal, /*count_event_bytes=*/false);
-  leaf.Append(Rec(1, 1));
-  internal.Append(Rec(1, 1));
+  Buffer leaf(&t_leaf, /*count_event_bytes=*/true, /*arity=*/1);
+  Buffer internal(&t_internal, /*count_event_bytes=*/false, /*arity=*/1);
+  Add(leaf, 1, 1);
+  Add(internal, 1, 1);
   EXPECT_GT(t_leaf.current_bytes(), t_internal.current_bytes());
-}
-
-Record RecWithGroup(Timestamp ts, const EventGroupPtr& g) {
-  Record r = Rec(ts, ts);
-  r.group = g;
-  return r;
 }
 
 TEST(Buffer, SharedKleeneGroupChargedOncePerBuffer) {
@@ -101,17 +103,17 @@ TEST(Buffer, SharedKleeneGroupChargedOncePerBuffer) {
   for (int i = 0; i < 8; ++i) {
     group->push_back(EventBuilder(StockSchema()).At(i).Build());
   }
-  const size_t group_bytes = Record::GroupByteSize(*group);
+  const size_t group_bytes = Buffer::GroupByteSize(*group);
   ASSERT_GT(group_bytes, 0u);
 
   MemoryTracker t;
-  Buffer b(&t);
-  b.Append(Rec(1, 1));
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
+  Add(b, 1, 1);
   const int64_t before = t.current_bytes();
-  b.Append(RecWithGroup(2, group));
+  Add(b, 2, 2, group);
   const int64_t first = t.current_bytes() - before;
-  b.Append(RecWithGroup(3, group));
-  b.Append(RecWithGroup(4, group));
+  Add(b, 3, 3, group);
+  Add(b, 4, 4, group);
   const int64_t all = t.current_bytes() - before;
   // The first referencing record pays the payload...
   EXPECT_GE(first, static_cast<int64_t>(group_bytes));
@@ -121,9 +123,9 @@ TEST(Buffer, SharedKleeneGroupChargedOncePerBuffer) {
   // A distinct group is a new payload.
   auto other = std::make_shared<EventGroup>(*group);
   const int64_t before_other = t.current_bytes();
-  b.Append(RecWithGroup(5, other));
+  Add(b, 5, 5, other);
   EXPECT_GE(t.current_bytes() - before_other,
-            static_cast<int64_t>(Record::GroupByteSize(*other)));
+            static_cast<int64_t>(Buffer::GroupByteSize(*other)));
 
   b.Clear();
   EXPECT_EQ(t.current_bytes(), 0);
@@ -135,12 +137,12 @@ TEST(Buffer, SharedGroupReleasedOnPartialPurge) {
   auto group = std::make_shared<EventGroup>();
   group->push_back(EventBuilder(StockSchema()).At(0).Build());
   const auto group_bytes =
-      static_cast<int64_t>(Record::GroupByteSize(*group));
+      static_cast<int64_t>(Buffer::GroupByteSize(*group));
 
   MemoryTracker t;
-  Buffer b(&t);
-  b.Append(RecWithGroup(1, group));
-  b.Append(RecWithGroup(10, group));
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
+  Add(b, 1, 1, group);
+  Add(b, 10, 10, group);
   const int64_t with_both = t.current_bytes();
   // Dropping one of the two referencing records must NOT release the
   // payload (the survivor still references it); with internal buffers
@@ -155,38 +157,13 @@ TEST(Buffer, SharedGroupReleasedOnPartialPurge) {
   EXPECT_EQ(t.current_bytes(), 0);
 }
 
-TEST(Record, ByteSizeExcludesSharedGroupPayload) {
-  // Record::ByteSize charges the handle only; the payload is accounted
-  // by the owning buffer (once), not per referencing record.
-  auto group = std::make_shared<EventGroup>();
-  for (int i = 0; i < 4; ++i) {
-    group->push_back(EventBuilder(StockSchema()).At(i).Build());
-  }
-  Record plain = Rec(1, 1);
-  Record with_group = Rec(1, 1);
-  with_group.group = group;
-  EXPECT_EQ(plain.ByteSize(), with_group.ByteSize());
-  EXPECT_EQ(plain.ByteSize(/*count_events=*/true),
-            with_group.ByteSize(/*count_events=*/true));
-}
-
 TEST(Buffer, HashIndexProbeFindsMatchingRecords) {
   MemoryTracker t;
-  Buffer b(&t);
-  const auto mk = [&](const std::string& name, Timestamp ts) {
-    Record r;
-    r.start_ts = ts;
-    r.end_ts = ts;
-    r.slots.assign(1, EventBuilder(StockSchema())
-                          .Set("name", Value(name))
-                          .At(ts)
-                          .Build());
-    return r;
-  };
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
   b.EnableHashIndex(/*class_idx=*/0, /*field_idx=*/1);
-  b.Append(mk("X", 1));
-  b.Append(mk("Y", 2));
-  b.Append(mk("X", 3));
+  b.AppendEvent(0, Named("X", 1));
+  b.AppendEvent(0, Named("Y", 2));
+  b.AppendEvent(0, Named("X", 3));
   ASSERT_TRUE(b.has_hash_index());
   const auto& xs = b.hash_index()->Probe(Value("X"));
   EXPECT_EQ(xs, (std::vector<uint64_t>{0, 2}));
@@ -195,15 +172,8 @@ TEST(Buffer, HashIndexProbeFindsMatchingRecords) {
 
 TEST(Buffer, HashIndexBuiltOverExistingRecords) {
   MemoryTracker t;
-  Buffer b(&t);
-  Record r;
-  r.start_ts = 1;
-  r.end_ts = 1;
-  r.slots.assign(1, EventBuilder(StockSchema())
-                        .Set("name", Value("X"))
-                        .At(1)
-                        .Build());
-  b.Append(std::move(r));
+  Buffer b(&t, /*count_event_bytes=*/false, /*arity=*/1);
+  Add(b, 1, 1, /*group=*/nullptr, Named("X", 1));
   b.EnableHashIndex(0, 1);
   EXPECT_EQ(b.hash_index()->Probe(Value("X")).size(), 1u);
 }
@@ -245,14 +215,7 @@ TEST(Buffer, HashIndexStaysBoundedUnderSmallPurges) {
 
 TEST(HashIndex, CompactDropsPurgedIds) {
   HashIndex idx(0, 1);
-  Record r;
-  r.start_ts = 0;
-  r.end_ts = 0;
-  r.slots.assign(1, EventBuilder(StockSchema())
-                        .Set("name", Value("X"))
-                        .At(0)
-                        .Build());
-  for (uint64_t id = 0; id < 10; ++id) idx.Insert(r, id);
+  for (uint64_t id = 0; id < 10; ++id) idx.Insert(Value("X"), id);
   idx.Compact(7);
   EXPECT_EQ(idx.Probe(Value("X")), (std::vector<uint64_t>{7, 8, 9}));
 }

@@ -1,14 +1,15 @@
 // Expression evaluation (three-valued logic, aggregates) and analysis.
 #include <gtest/gtest.h>
 
-#include "exec/record.h"
 #include "expr/analysis.h"
 #include "expr/expr.h"
+#include "test_util.h"
 
 namespace zstream {
 namespace {
 
 using namespace exprs;  // NOLINT
+using testing::Binding;
 
 EventPtr Ev(const std::string& name, double price, Timestamp ts) {
   return EventBuilder(StockSchema())
@@ -22,7 +23,7 @@ ExprPtr Price(int cls) { return Expr::AttrRef(cls, 2, "T", "price"); }
 ExprPtr Name(int cls) { return Expr::AttrRef(cls, 1, "T", "name"); }
 
 TEST(ExprEval, AttrAndComparison) {
-  Record rec = Record::FromEvent(0, 2, Ev("IBM", 90, 1));
+  Binding rec{{Ev("IBM", 90, 1), nullptr}};
   rec.slots[1] = Ev("Sun", 50, 2);
   const EvalInput in = rec.ToEvalInput();
   EXPECT_TRUE(Gt(Price(0), Price(1))->EvalPredicate(in));
@@ -32,7 +33,7 @@ TEST(ExprEval, AttrAndComparison) {
 
 TEST(ExprEval, ArithmeticWithPercents) {
   // T1.price > (1 + 20%) * T2.price, the Query 1 shape.
-  Record rec = Record::FromEvent(0, 2, Ev("X", 130, 1));
+  Binding rec{{Ev("X", 130, 1), nullptr}};
   rec.slots[1] = Ev("G", 100, 2);
   const ExprPtr pred =
       Gt(Price(0), Mul(Add(Lit(1.0), Lit(0.2)), Price(1)));
@@ -42,14 +43,14 @@ TEST(ExprEval, ArithmeticWithPercents) {
 }
 
 TEST(ExprEval, UnboundSlotYieldsNullAndFails) {
-  Record rec = Record::FromEvent(0, 2, Ev("IBM", 90, 1));
+  Binding rec{{Ev("IBM", 90, 1), nullptr}};
   const EvalInput in = rec.ToEvalInput();
   EXPECT_TRUE(Price(1)->Eval(in).is_null());
   EXPECT_FALSE(Gt(Price(0), Price(1))->EvalPredicate(in));
 }
 
 TEST(ExprEval, ThreeValuedLogic) {
-  Record rec = Record::FromEvent(0, 2, Ev("IBM", 90, 1));
+  Binding rec{{Ev("IBM", 90, 1), nullptr}};
   const EvalInput in = rec.ToEvalInput();
   const ExprPtr null_cmp = Gt(Price(1), Lit(0.0));     // null
   const ExprPtr true_cmp = Gt(Price(0), Lit(0.0));     // true
@@ -64,20 +65,20 @@ TEST(ExprEval, ThreeValuedLogic) {
 }
 
 TEST(ExprEval, TimeRef) {
-  Record rec = Record::FromEvent(0, 2, Ev("IBM", 90, 77));
+  Binding rec{{Ev("IBM", 90, 77), nullptr}};
   const ExprPtr ts = Expr::TimeRef(0, "T");
   EXPECT_EQ(ts->Eval(rec.ToEvalInput()), Value(int64_t{77}));
 }
 
 TEST(ExprEval, IsNull) {
-  Record rec = Record::FromEvent(0, 2, Ev("IBM", 90, 1));
+  Binding rec{{Ev("IBM", 90, 1), nullptr}};
   const EvalInput in = rec.ToEvalInput();
   EXPECT_FALSE(Expr::IsNull(0, "T")->Eval(in).bool_value());
   EXPECT_TRUE(Expr::IsNull(1, "T")->Eval(in).bool_value());
 }
 
 TEST(ExprEval, Aggregates) {
-  Record rec = Record::FromEvent(0, 2, Ev("A", 1, 1));
+  Binding rec{{Ev("A", 1, 1), nullptr}};
   auto group = std::make_shared<EventGroup>();
   for (double v : {10.0, 20.0, 30.0}) group->push_back(Ev("B", v, 2));
   rec.group = group;

@@ -299,7 +299,7 @@ TEST(NetFrameParser, ReassemblesAcrossArbitrarySplits) {
   std::string stream;
   net::AppendFrame(&stream, MsgType::kDdl, 0, "CREATE ...");
   net::AppendFrame(&stream, MsgType::kFlush, 0, "");
-  net::AppendFrame(&stream, MsgType::kStats, 0, std::string(300, 'j'));
+  net::AppendFrame(&stream, MsgType::kMetrics, 0, std::string(300, 'j'));
 
   // Feed one byte at a time: every frame must come out exactly once.
   FrameParser parser;
@@ -318,7 +318,7 @@ TEST(NetFrameParser, ReassemblesAcrossArbitrarySplits) {
   EXPECT_EQ(frames[0].payload, "CREATE ...");
   EXPECT_EQ(frames[1].header.type, MsgType::kFlush);
   EXPECT_TRUE(frames[1].payload.empty());
-  EXPECT_EQ(frames[2].header.type, MsgType::kStats);
+  EXPECT_EQ(frames[2].header.type, MsgType::kMetrics);
   EXPECT_EQ(frames[2].payload.size(), 300u);
 }
 
@@ -345,7 +345,7 @@ TEST(NetFrameParser, OversizedSkipSurvivesPartialDelivery) {
   std::string bad;
   net::AppendFrame(&bad, MsgType::kDdl, 0, std::string(1000, 'x'));
   std::string good;
-  net::AppendFrame(&good, MsgType::kStatsRequest, 0, "");
+  net::AppendFrame(&good, MsgType::kMetricsRequest, 0, "");
 
   parser.Append(bad.data(), 20);  // header + a sliver of payload
   auto first = parser.Next();
@@ -361,7 +361,7 @@ TEST(NetFrameParser, OversizedSkipSurvivesPartialDelivery) {
   auto next = parser.Next();
   ASSERT_TRUE(next.ok()) << next.status();
   ASSERT_TRUE(next->has_value());
-  EXPECT_EQ((*next)->header.type, MsgType::kStatsRequest);
+  EXPECT_EQ((*next)->header.type, MsgType::kMetricsRequest);
 }
 
 TEST(NetFrameParser, UnknownTypeIsCodedAndResyncs) {
@@ -710,11 +710,39 @@ TEST(NetServer, ZeroLengthDdlFrameIsCodedError) {
   const Status err = raw.ReadError();
   EXPECT_EQ(err.error_code(), errc::kNetEmptyPayload);
 
-  // The connection is still alive: a stats request answers.
-  std::string stats;
-  net::AppendFrame(&stats, MsgType::kStatsRequest, 0, "");
-  raw.Write(stats);
-  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kStats);
+  // The connection is still alive: a metrics request answers.
+  std::string metrics;
+  net::AppendFrame(&metrics, MsgType::kMetricsRequest, 0, "");
+  raw.Write(metrics);
+  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kMetrics);
+}
+
+// Codes 10 and 11 carried the retired STATS request/reply pair. A peer
+// that still sends one gets the unknown-type coded error, its payload is
+// skipped, and the same connection keeps ingesting.
+TEST(NetServer, RetiredStatsTypesAreCodedErrorsAndConnectionSurvives) {
+  ServerFixture fx(2, {kStockDdl});
+  RawConn raw(fx.server->port());
+  for (const uint8_t retired : {uint8_t{10}, uint8_t{11}}) {
+    EXPECT_FALSE(net::IsValidMsgType(retired));
+    std::string frame;
+    net::AppendFrame(&frame, static_cast<MsgType>(retired), 0, "{}");
+    raw.Write(frame);
+    EXPECT_EQ(raw.ReadError().error_code(), errc::kNetUnknownType);
+  }
+
+  std::string payload;
+  net::PutString(&payload, "stock");
+  net::PutU64(&payload, 0);  // v3: trace id (unsampled)
+  net::PutU32(&payload, 1);
+  net::AppendEvent(&payload, *Stock("IBM", 9.5, 1));
+  std::string frame;
+  net::AppendFrame(&frame, MsgType::kEventBatch, 0, payload);
+  raw.Write(frame);
+  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kIngestAck);
+  EXPECT_EQ(
+      RuntimeMetric(fx.server->runtime(), "zstream_events_ingested_total"),
+      1u);
 }
 
 TEST(NetServer, TruncatedEventBatchOverWireIsCodedError) {
@@ -734,7 +762,9 @@ TEST(NetServer, TruncatedEventBatchOverWireIsCodedError) {
   raw.Write(frame);
   const Status err = raw.ReadError();
   EXPECT_EQ(err.error_code(), errc::kNetTruncatedPayload);
-  EXPECT_EQ(fx.server->runtime().Stats().events_ingested, 0u);
+  EXPECT_EQ(
+      RuntimeMetric(fx.server->runtime(), "zstream_events_ingested_total"),
+      0u);
 
   // Follow with a well-formed single-event batch on the same socket.
   std::string ok_payload;
@@ -785,7 +815,9 @@ TEST(NetServer, OutOfRangeTimestampIsCodedErrorAndRecovers) {
     raw.Write(batch_frame(ts, 1.0));
     EXPECT_EQ(raw.ReadError().error_code(), errc::kNetBadTimestamp) << ts;
   }
-  EXPECT_EQ((*server)->runtime().Stats().events_ingested, 0u);
+  EXPECT_EQ(
+      RuntimeMetric((*server)->runtime(), "zstream_events_ingested_total"),
+      0u);
 
   // The range ends are valid: ingested, reordered and matched.
   double price = 1.0;
@@ -798,10 +830,10 @@ TEST(NetServer, OutOfRangeTimestampIsCodedErrorAndRecovers) {
   auto client = Client::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(client.ok()) << client.status();
   ASSERT_TRUE((*client)->Flush().ok());
-  const runtime::RuntimeStats stats = (*server)->runtime().Stats();
-  EXPECT_EQ(stats.events_ingested, 4u);
-  EXPECT_EQ(stats.late_dropped, 0u);
-  EXPECT_EQ(stats.matches, 1u);  // spread: (1, 2)
+  runtime::StreamRuntime& rt = (*server)->runtime();
+  EXPECT_EQ(RuntimeMetric(rt, "zstream_events_ingested_total"), 4u);
+  EXPECT_EQ(RuntimeMetric(rt, "zstream_shard_reorder_late_total"), 0u);
+  EXPECT_EQ(RuntimeMetric(rt, "zstream_matches_total"), 1u);  // spread: (1, 2)
   (*client)->Close();
   (*server)->Stop();
 }
@@ -821,10 +853,10 @@ TEST(NetServer, OversizedFrameOverWireIsCodedErrorAndRecovers) {
   const Status err = raw.ReadError();
   EXPECT_EQ(err.error_code(), errc::kNetOversizedFrame);
 
-  std::string stats;
-  net::AppendFrame(&stats, MsgType::kStatsRequest, 0, "");
-  raw.Write(stats);
-  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kStats);
+  std::string metrics;
+  net::AppendFrame(&metrics, MsgType::kMetricsRequest, 0, "");
+  raw.Write(metrics);
+  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kMetrics);
 }
 
 TEST(NetServer, DropPolicyReportsThrottleFlag) {
@@ -932,7 +964,9 @@ TEST(NetServer, IngestSplitsOversizedBatchesByBytes) {
   ASSERT_TRUE(ack.ok()) << ack.status();
   EXPECT_EQ(ack->accepted, events.size());
   ASSERT_TRUE(client->Flush().ok());
-  EXPECT_EQ(fx.server->runtime().Stats().events_ingested, events.size());
+  EXPECT_EQ(
+      RuntimeMetric(fx.server->runtime(), "zstream_events_ingested_total"),
+      events.size());
 }
 
 TEST(NetServer, ReplayRejectsOutOfRangePartitionField) {

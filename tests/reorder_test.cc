@@ -15,6 +15,7 @@ using testing::MustAnalyze;
 using testing::ReorderedRun;
 using testing::RunInReorderingRuntime;
 using testing::RunPlan;
+using testing::RuntimeMetric;
 using testing::Stock;
 
 std::vector<Timestamp> Timestamps(const std::vector<EventPtr>& events) {
@@ -138,11 +139,11 @@ TEST(RuntimeReorder, SlackDelaysButFlushReleases) {
   // Wait until the shard has taken both events into its reorder stage.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while ((*rt)->Stats().pending < 2 &&
+  while (RuntimeMetric(**rt, "zstream_shard_reorder_pending") < 2 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ((*rt)->Stats().pending, 2u);
+  ASSERT_EQ(RuntimeMetric(**rt, "zstream_shard_reorder_pending"), 2u);
   // Everything is still pending inside the reorder stage.
   EXPECT_EQ((*rt)->query_matches(*id).ValueOr(99), 0u);
   ASSERT_TRUE((*rt)->Flush().ok());

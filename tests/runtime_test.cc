@@ -309,14 +309,20 @@ TEST(StreamRuntime, BackpressureDropNewestCountsExactly) {
 
   gate->Open();
   ASSERT_TRUE((*rt)->Flush().ok());
-  const auto stats = (*rt)->Stats();
-  EXPECT_EQ(stats.events_ingested, 20u);
-  EXPECT_EQ(stats.events_processed, 8u);
-  EXPECT_EQ(stats.events_dropped, 12u);
-  EXPECT_EQ(stats.events_processed + stats.events_dropped,
-            stats.events_ingested);
-  ASSERT_EQ(stats.shards.size(), 1u);
-  EXPECT_EQ(stats.shards[0].events_dropped, 12u);
+  const uint64_t ingested =
+      RuntimeMetric(**rt, "zstream_events_ingested_total");
+  const uint64_t processed =
+      RuntimeMetric(**rt, "zstream_shard_events_processed_total");
+  const uint64_t dropped =
+      RuntimeMetric(**rt, "zstream_shard_events_dropped_total");
+  EXPECT_EQ(ingested, 20u);
+  EXPECT_EQ(processed, 8u);
+  EXPECT_EQ(dropped, 12u);
+  EXPECT_EQ(processed + dropped, ingested);
+  ASSERT_EQ((*rt)->num_shards(), 1);
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_events_dropped_total",
+                          /*shard=*/0),
+            12u);
 }
 
 TEST(StreamRuntime, BackpressureBlockLosesNothing) {
@@ -346,9 +352,9 @@ TEST(StreamRuntime, BackpressureBlockLosesNothing) {
   gate->Open();
   producer.join();
   ASSERT_TRUE((*rt)->Flush().ok());
-  const auto stats = (*rt)->Stats();
-  EXPECT_EQ(stats.events_dropped, 0u);
-  EXPECT_EQ(stats.events_processed, 64u);
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_events_dropped_total"), 0u);
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_events_processed_total"),
+            64u);
 }
 
 TEST(StreamRuntime, MergedStatsReplanPreservesMatchSet) {
@@ -427,11 +433,12 @@ TEST(StreamRuntime, StartRuntimeFacade) {
   auto matches = (*rt)->query_matches(*id);
   ASSERT_TRUE(matches.ok());
   EXPECT_GT(*matches, 0u);
-  const auto stats = (*rt)->Stats();
-  EXPECT_EQ(stats.events_processed, events.size());
-  const std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"shards\""), std::string::npos);
-  EXPECT_NE(json.find("\"throughput_eps\""), std::string::npos);
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_events_processed_total"),
+            events.size());
+  const std::string json = (*rt)->MetricsJson();
+  EXPECT_NE(json.find("\"zstream_shard_events_processed_total\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"zstream_uptime_seconds\""), std::string::npos);
   (*rt)->Stop();
   EXPECT_FALSE((*rt)->Ingest(*stream, events.front()));
   EXPECT_TRUE((*rt)->Flush().IsFailedPrecondition());
@@ -497,7 +504,7 @@ TEST(StreamRuntime, SinkMayReenterRuntimeAccessors) {
   runtime::CallbackMatchSink sink([&](runtime::RuntimeMatch&& m) {
     auto matches = raw->query_matches(m.query);  // takes control_mu_
     if (matches.ok()) reentrant_reads.fetch_add(1);
-    (void)raw->Stats();
+    raw->UpdateMetrics();  // takes control_mu_ too
   });
   QueryOptions qopts;
   qopts.sink = &sink;
@@ -602,9 +609,55 @@ TEST(StreamRuntime, ReorderSlackRestoresOrderAtIngest) {
   ASSERT_TRUE((*rt)->Flush().ok());
   EXPECT_EQ(sink.SortedKeys(), expected);
 
-  const runtime::RuntimeStats stats = (*rt)->Stats();
-  EXPECT_EQ(stats.late_dropped, 0u);
-  EXPECT_EQ(stats.pending, 0u);  // Flush drained the stage
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_reorder_late_total"), 0u);
+  // Flush drained the stage.
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_reorder_pending"), 0u);
+}
+
+// A retired query's matches stay in zstream_matches_total (a counter
+// never runs backwards), its query= series leave the registry, and a
+// new query under the same label starts its series from zero, so the
+// latency histogram's _count still equals the query's matches.
+TEST(StreamRuntime, UnregisterRetiresQuerySeries) {
+  RuntimeOptions options;
+  options.num_shards = 2;
+  auto rt = StreamRuntime::Create(options);
+  ASSERT_TRUE(rt.ok());
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  ASSERT_TRUE(stream.ok());
+  CompileOptions compile;
+  compile.engine.label = "rally";
+  constexpr char kRising[] = "PATTERN A;B WHERE A.price < B.price WITHIN 10";
+  auto first = (*rt)->RegisterQuery(*stream, kRising, compile);
+  ASSERT_TRUE(first.ok()) << first.status();
+  for (int i = 1; i <= 6; ++i) {
+    ASSERT_TRUE((*rt)->Ingest(*stream, Stock("IBM", i, i)));
+  }
+  ASSERT_TRUE((*rt)->Flush().ok());
+  const uint64_t retired = (*rt)->query_matches(*first).ValueOr(0);
+  ASSERT_EQ(retired, 15u);  // every rising pair of six
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_matches_total"), retired);
+  ASSERT_EQ((*rt)->UnregisterQuery(*first).ValueOr(0), retired);
+
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_matches_total"), retired);
+  const std::string after_drop = (*rt)->MetricsPrometheus();
+  EXPECT_EQ(after_drop.find("query=\"rally\""), std::string::npos)
+      << after_drop;
+
+  auto second = (*rt)->RegisterQuery(*stream, kRising, compile);
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_TRUE((*rt)->Ingest(*stream, Stock("IBM", 1.0, 100)));
+  ASSERT_TRUE((*rt)->Ingest(*stream, Stock("IBM", 2.0, 101)));
+  ASSERT_TRUE((*rt)->Flush().ok());
+  ASSERT_EQ((*rt)->query_matches(*second).ValueOr(0), 1u);
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_matches_total"), retired + 1);
+  obs::Registry& reg = (*rt)->metrics_registry();
+  const obs::Labels rally = {{"query", "rally"}};
+  EXPECT_EQ(reg.GetCounter("zstream_query_matches_total", rally)->value(),
+            1u);
+  EXPECT_EQ(
+      reg.GetHistogram("zstream_detection_latency_seconds", rally)->count(),
+      1u);
 }
 
 TEST(StreamRuntime, UnregisterFlushesReorderedEvents) {
@@ -649,12 +702,13 @@ TEST(StreamRuntime, ReorderLateDropsAreCountedAndExported) {
   ASSERT_TRUE((*rt)->Ingest(*stream, Stock("IBM", 3.0, 50)));
   ASSERT_TRUE((*rt)->Flush().ok());
 
-  const runtime::RuntimeStats stats = (*rt)->Stats();
-  EXPECT_EQ(stats.late_dropped, 1u);
-  EXPECT_EQ(stats.pending, 0u);
-  const std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"late_dropped\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"pending\": 0"), std::string::npos);
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_reorder_late_total"), 1u);
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_reorder_pending"), 0u);
+  const std::string text = (*rt)->MetricsPrometheus();
+  EXPECT_NE(text.find("zstream_shard_reorder_late_total{shard=\"0\"} 1"),
+            std::string::npos);
+  EXPECT_NE(text.find("zstream_shard_reorder_pending{shard=\"0\"} 0"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -108,10 +108,35 @@ inline std::vector<std::string> RunPlan(const PatternPtr& pattern,
   return keys;
 }
 
+/// Refreshes `rt`'s metrics registry (StreamRuntime::UpdateMetrics, the
+/// step every scrape takes) and reads one runtime family from it. A
+/// `zstream_shard_*` family sums its per-shard series, or reads only
+/// `shard` when it is >= 0; any other family reads its unlabeled series.
+/// Families ending in `_total` are counters, the rest gauges.
+inline uint64_t RuntimeMetric(runtime::StreamRuntime& rt,
+                              const std::string& family, int shard = -1) {
+  rt.UpdateMetrics();
+  obs::Registry& reg = rt.metrics_registry();
+  const bool counter = family.ends_with("_total");
+  const auto read = [&](const obs::Labels& labels) -> uint64_t {
+    return counter ? reg.GetCounter(family, labels)->value()
+                   : static_cast<uint64_t>(
+                         reg.GetGauge(family, labels)->value());
+  };
+  if (!family.starts_with("zstream_shard_")) return read({});
+  uint64_t total = 0;
+  for (int s = 0; s < rt.num_shards(); ++s) {
+    if (shard < 0 || s == shard) {
+      total += read({{"shard", std::to_string(s)}});
+    }
+  }
+  return total;
+}
+
 /// Outcome of RunInReorderingRuntime.
 struct ReorderedRun {
   std::vector<std::string> keys;  // sorted MatchKey()s
-  uint64_t late_dropped = 0;      // RuntimeStats::late_dropped
+  uint64_t late_dropped = 0;      // zstream_shard_reorder_late_total
 };
 
 /// Runs `query` on a one-shard StreamRuntime whose shard reorders with
@@ -152,9 +177,25 @@ inline ReorderedRun RunInReorderingRuntime(const std::string& query,
     out.keys.push_back(MatchKey(m.match));
   }
   std::sort(out.keys.begin(), out.keys.end());
-  out.late_dropped = (*rt)->Stats().late_dropped;
+  out.late_dropped = RuntimeMetric(**rt, "zstream_shard_reorder_late_total");
   return out;
 }
+
+/// A candidate binding for predicate evaluation: one slot per pattern
+/// class (null when unbound) plus the Kleene group.
+struct Binding {
+  std::vector<EventPtr> slots;
+  EventGroupPtr group;
+
+  EvalInput ToEvalInput(int group_class = -1) const {
+    EvalInput in;
+    in.slots = slots.data();
+    in.num_slots = static_cast<int>(slots.size());
+    in.group = group.get();
+    in.group_class = group_class;
+    return in;
+  }
+};
 
 // ---------------------------------------------------------------------
 // Brute-force reference matcher.
@@ -181,7 +222,7 @@ class ReferenceMatcher {
       }
     }
     keys_.clear();
-    Record rec;
+    Binding rec;
     rec.slots.assign(static_cast<size_t>(n), nullptr);
     Enumerate(0, rec);
     std::sort(keys_.begin(), keys_.end());
@@ -191,7 +232,9 @@ class ReferenceMatcher {
  private:
   bool Admit(int cls, const EventPtr& e) const {
     const EventClass& ec = pattern_->classes[static_cast<size_t>(cls)];
-    Record probe = Record::FromEvent(cls, pattern_->num_classes(), e);
+    Binding probe;
+    probe.slots.assign(static_cast<size_t>(pattern_->num_classes()), nullptr);
+    probe.slots[static_cast<size_t>(cls)] = e;
     const EvalInput in = probe.ToEvalInput();
     for (const ExprPtr& pred : ec.leaf_predicates) {
       if (!pred->EvalPredicate(in)) return false;
@@ -210,7 +253,7 @@ class ReferenceMatcher {
   }
 
   // Recursively binds positive, non-Kleene classes in pattern order.
-  void Enumerate(int cls, Record& rec) {
+  void Enumerate(int cls, Binding& rec) {
     const Pattern& p = *pattern_;
     const int n = p.num_classes();
     if (cls == n) {
@@ -231,7 +274,7 @@ class ReferenceMatcher {
     rec.slots[static_cast<size_t>(cls)] = nullptr;
   }
 
-  Timestamp PrevPositiveTs(const Record& rec, int cls) const {
+  Timestamp PrevPositiveTs(const Binding& rec, int cls) const {
     for (int c = cls - 1; c >= 0; --c) {
       const EventPtr& e = rec.slots[static_cast<size_t>(c)];
       if (e != nullptr) return e->timestamp();
@@ -243,7 +286,7 @@ class ReferenceMatcher {
     return kMinTimestamp;
   }
 
-  void Finalize(Record& rec) {
+  void Finalize(Binding& rec) {
     const Pattern& p = *pattern_;
     // Window over the positive bindings.
     Timestamp lo = kMaxTimestamp, hi = kMinTimestamp;
@@ -350,7 +393,7 @@ class ReferenceMatcher {
 
   // Evaluates multi-class predicates whose referenced slots are bound;
   // when `restrict_to_neg` >= 0, only predicates touching that class.
-  bool PredsPass(const Record& rec, int restrict_to_neg) const {
+  bool PredsPass(const Binding& rec, int restrict_to_neg) const {
     const EvalInput in = rec.ToEvalInput(pattern_->KleeneClass());
     const int kc = pattern_->KleeneClass();
     for (const ExprPtr& pred : pattern_->multi_predicates) {
@@ -385,7 +428,7 @@ class ReferenceMatcher {
     return true;
   }
 
-  void Emit(const Record& rec, const EventGroup* group) {
+  void Emit(const Binding& rec, const EventGroup* group) {
     std::ostringstream os;
     for (size_t i = 0; i < rec.slots.size(); ++i) {
       if (rec.slots[i] != nullptr) {

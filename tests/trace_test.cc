@@ -316,14 +316,11 @@ TEST(TraceReconciliation, SpanCountsMatchShardAndSinkTotals) {
   // queue-wait span when its shard dequeued it.
   EXPECT_EQ(t.KindCount(SpanKind::kQueueWait), total_events);
 
-  // The runtime's own counters agree: stats...
-  const runtime::RuntimeStats stats = (*rt)->Stats();
-  EXPECT_EQ(stats.events_traced, total_events);
-  uint64_t shard_total = 0;
-  for (const runtime::ShardStats& s : stats.shards) {
-    shard_total += s.events_processed;
-  }
-  EXPECT_EQ(t.KindCount(SpanKind::kQueueWait), shard_total);
+  // The runtime's own counters agree: the registry series...
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_events_traced_total"),
+            total_events);
+  EXPECT_EQ(t.KindCount(SpanKind::kQueueWait),
+            RuntimeMetric(**rt, "zstream_shard_events_processed_total"));
   // ...and the exported metric series.
   const std::string metrics = (*rt)->MetricsPrometheus();
   EXPECT_NE(metrics.find("zstream_events_traced_total " +

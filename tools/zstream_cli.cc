@@ -19,20 +19,23 @@
 // --expect QUERY=COUNT turns the run into an assertion (exit 1 on
 // mismatch) — the CI smoke test's hook.
 //
-// `stats --watch` polls the server's stats document on an interval and
-// prints one delta line per tick (ingest rate, match rate, aggregate
-// shard queue depth) — a poor man's `top` for a running server.
-// `metrics` fetches the observability registry snapshot over the wire
-// (the same document the HTTP /metrics side port serves).
+// `stats` reads the server's metrics registry (the `metrics` scrape)
+// and prints one totals line: events ingested and traced, matches,
+// shard drops and queue depth. `stats --watch` polls it on an interval
+// and prints one delta line per tick (ingest rate, match rate,
+// aggregate shard queue depth) — a poor man's `top` for a running
+// server. `metrics` fetches the whole registry snapshot over the wire
+// (the same document the HTTP /metrics side port serves); `metrics
+// --json` is its JSON rendering.
 // `trace` fetches the server's span window as chrome://tracing /
 // Perfetto JSON (the /trace side-port document); --out writes it to a
 // file ready to load into a trace viewer.
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -231,66 +234,53 @@ int RunTail(net::Client& client, std::vector<std::string> args) {
   return 0;
 }
 
-// Pulls the first `"key": <integer>` value out of a stats JSON
-// document at or after `from`. The server renders stats itself with a
-// stable field order (runtime_stats.cc / BuildStatsJson), so a real
-// JSON parser would be overkill here. Returns false when absent.
-bool FindJsonU64(const std::string& json, const char* key, size_t from,
-                 uint64_t* out, size_t* next) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t at = json.find(needle, from);
-  if (at == std::string::npos) return false;
-  size_t pos = at + needle.size();
-  while (pos < json.size() && json[pos] == ' ') ++pos;
-  if (pos >= json.size() || std::isdigit(json[pos]) == 0) return false;
-  *out = std::strtoull(json.c_str() + pos, nullptr, 10);
-  if (next != nullptr) *next = pos;
-  return true;
+// Sums every series of `family` in a Prometheus text document (the
+// `metrics` scrape): both `family 5` and `family{shard="0"} 3` lines
+// count; comments and longer names sharing the prefix do not. The
+// value is the last space-separated token, so label values may hold
+// spaces.
+uint64_t SumFamily(const std::string& doc, const std::string& family) {
+  uint64_t total = 0;
+  size_t pos = 0;
+  while (pos < doc.size()) {
+    size_t end = doc.find('\n', pos);
+    if (end == std::string::npos) end = doc.size();
+    const std::string_view line(doc.data() + pos, end - pos);
+    pos = end + 1;
+    if (!line.starts_with(family) || line.size() <= family.size() ||
+        (line[family.size()] != ' ' && line[family.size()] != '{')) {
+      continue;
+    }
+    const size_t space = line.rfind(' ');
+    total += std::strtoull(std::string(line.substr(space + 1)).c_str(),
+                           nullptr, 10);
+  }
+  return total;
 }
 
-// One sampled reading of the counters the watch ticker reports.
-struct WatchSample {
+// One reading of the registry counters `stats` reports.
+struct StatsSample {
   uint64_t ingested = 0;
   uint64_t traced = 0;
   uint64_t matches = 0;
-  uint64_t dropped = 0;
+  uint64_t dropped = 0;      // summed over shards
   uint64_t queue_depth = 0;  // summed over shards
 };
 
-bool ParseWatchSample(const std::string& json, WatchSample* s) {
-  // The stats document nests the runtime object last, so scan for its
-  // fields from the start; the "runtime" totals appear before the
-  // per-shard array, whose queue_depth entries we sum.
-  const size_t rt = json.find("\"runtime\":");
-  const size_t base = rt == std::string::npos ? 0 : rt;
-  if (!FindJsonU64(json, "events_ingested", base, &s->ingested, nullptr)) {
-    return false;
-  }
-  FindJsonU64(json, "events_traced", base, &s->traced, nullptr);
-  if (!FindJsonU64(json, "matches", base, &s->matches, nullptr)) {
-    return false;
-  }
-  FindJsonU64(json, "events_dropped", base, &s->dropped, nullptr);
-  size_t pos = base;
-  uint64_t depth = 0;
-  s->queue_depth = 0;
-  while (FindJsonU64(json, "queue_depth", pos, &depth, &pos)) {
-    s->queue_depth += depth;
-    ++pos;
-  }
-  return true;
+Result<StatsSample> ReadStats(net::Client& client) {
+  ZS_ASSIGN_OR_RETURN(std::string doc, client.Metrics());
+  StatsSample s;
+  s.ingested = SumFamily(doc, "zstream_events_ingested_total");
+  s.traced = SumFamily(doc, "zstream_events_traced_total");
+  s.matches = SumFamily(doc, "zstream_matches_total");
+  s.dropped = SumFamily(doc, "zstream_shard_events_dropped_total");
+  s.queue_depth = SumFamily(doc, "zstream_shard_queue_depth");
+  return s;
 }
 
 int RunStatsWatch(net::Client& client, int interval_ms, int64_t ticks) {
-  WatchSample prev;
-  {
-    auto json = client.StatsJson();
-    if (!json.ok()) return Fail(json.status());
-    if (!ParseWatchSample(*json, &prev)) {
-      std::fprintf(stderr, "cannot parse stats document\n");
-      return 1;
-    }
-  }
+  auto prev = ReadStats(client);
+  if (!prev.ok()) return Fail(prev.status());
   std::printf("%10s %12s %10s %12s %10s %10s\n", "t", "ev/s", "traced/s",
               "matches/s", "dropped", "queue");
   std::fflush(stdout);
@@ -298,13 +288,8 @@ int RunStatsWatch(net::Client& client, int interval_ms, int64_t ticks) {
   auto last = start;
   for (int64_t tick = 0; ticks < 0 || tick < ticks; ++tick) {
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    auto json = client.StatsJson();
-    if (!json.ok()) return Fail(json.status());
-    WatchSample cur;
-    if (!ParseWatchSample(*json, &cur)) {
-      std::fprintf(stderr, "cannot parse stats document\n");
-      return 1;
-    }
+    auto cur = ReadStats(client);
+    if (!cur.ok()) return Fail(cur.status());
     const auto now = std::chrono::steady_clock::now();
     const double dt =
         std::chrono::duration<double>(now - last).count();
@@ -312,15 +297,15 @@ int RunStatsWatch(net::Client& client, int interval_ms, int64_t ticks) {
         std::chrono::duration<double>(now - start).count();
     last = now;
     const double ev_s =
-        dt > 0 ? (cur.ingested - prev.ingested) / dt : 0.0;
+        dt > 0 ? (cur->ingested - prev->ingested) / dt : 0.0;
     const double traced_s =
-        dt > 0 ? (cur.traced - prev.traced) / dt : 0.0;
+        dt > 0 ? (cur->traced - prev->traced) / dt : 0.0;
     const double match_s =
-        dt > 0 ? (cur.matches - prev.matches) / dt : 0.0;
+        dt > 0 ? (cur->matches - prev->matches) / dt : 0.0;
     std::printf("%9.1fs %12.0f %10.0f %12.1f %10llu %10llu\n", t, ev_s,
                 traced_s, match_s,
-                static_cast<unsigned long long>(cur.dropped),
-                static_cast<unsigned long long>(cur.queue_depth));
+                static_cast<unsigned long long>(cur->dropped),
+                static_cast<unsigned long long>(cur->queue_depth));
     std::fflush(stdout);
     prev = cur;
   }
@@ -351,9 +336,16 @@ int RunStats(net::Client& client, const std::vector<std::string>& args) {
     }
   }
   if (watch) return RunStatsWatch(client, interval_ms, ticks);
-  auto json = client.StatsJson();
-  if (!json.ok()) return Fail(json.status());
-  std::printf("%s\n", json->c_str());
+  auto totals = ReadStats(client);
+  if (!totals.ok()) return Fail(totals.status());
+  std::printf(
+      "events_ingested=%llu events_traced=%llu matches=%llu dropped=%llu "
+      "queue_depth=%llu\n",
+      static_cast<unsigned long long>(totals->ingested),
+      static_cast<unsigned long long>(totals->traced),
+      static_cast<unsigned long long>(totals->matches),
+      static_cast<unsigned long long>(totals->dropped),
+      static_cast<unsigned long long>(totals->queue_depth));
   return 0;
 }
 
