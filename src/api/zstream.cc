@@ -86,8 +86,9 @@ std::string Query::Explain() const {
 }
 
 std::string Query::CurrentPlan() const {
-  return partitioned_ != nullptr ? partitioned_->ExplainPlan()
-                                 : engine_->ExplainPlan();
+  const PlanProfiles live = partitioned_ != nullptr ? partitioned_->Profile()
+                                                    : engine_->Profile();
+  return live.empty() ? plan_.Explain(*pattern_) : live.front().plan;
 }
 
 std::string Query::ExplainAnalyze() const {

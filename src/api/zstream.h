@@ -97,7 +97,9 @@ class Query {
   std::string Explain() const;
 
   /// The live plan shape (tracks adaptive plan switches, unlike plan()
-  /// which is the compile-time choice) and the number of switches.
+  /// which is the compile-time choice) and the number of switches. A
+  /// partitioned query's partitions adapt one by one: CurrentPlan names
+  /// the plan most of them run, plan_switches sums theirs.
   std::string CurrentPlan() const;
   uint64_t plan_switches() const;
 

@@ -69,23 +69,20 @@ Status Engine::Build(const PhysicalPlan& plan, bool initial,
   const int n = pattern_->num_classes();
 
   if (initial) {
-    const bool want_stats = options_.adaptive || options_.collect_stats;
-    if (want_stats) {
+    if (options_.adaptive) {
       // Bucket the window so rate changes show up within a few windows.
       const Duration bucket =
           std::max<Duration>(pattern_->window, 1);
       windowed_stats_ = std::make_unique<WindowedClassStats>(
           n, static_cast<int>(pattern_->multi_predicates.size()), bucket);
+      adaptive_ = std::make_unique<AdaptiveController>(
+          pattern_, options_.adaptive_options);
     }
     leaves_.clear();
     for (int c = 0; c < n; ++c) {
       leaves_.push_back(std::make_unique<LeafNode>(pattern_.get(), c,
                                                    tracker_));
       leaves_.back()->set_runtime_stats(windowed_stats_.get());
-    }
-    if (options_.adaptive) {
-      adaptive_ = std::make_unique<AdaptiveController>(
-          pattern_, options_.adaptive_options);
     }
   }
 
@@ -558,7 +555,7 @@ void Engine::RecordMatchTrace(uint64_t trace_id, const Match& match) {
 }
 
 void Engine::MaybeAdapt() {
-  if (adaptive_ == nullptr || windowed_stats_ == nullptr) return;
+  if (adaptive_ == nullptr) return;
   if (assembly_rounds_ %
           static_cast<uint64_t>(
               std::max(options_.adaptive_options.check_every_rounds, 1)) !=
@@ -568,12 +565,27 @@ void Engine::MaybeAdapt() {
   const StatsCatalog defaults(pattern_->num_classes(),
                               static_cast<double>(pattern_->window));
   const StatsCatalog current = windowed_stats_->Snapshot(*pattern_, defaults);
+  // Replan evaluations are control-plane work: each one that runs gets
+  // its own trace, so plan churn is auditable next to event spans.
+  const int evaluations = adaptive_->replan_evaluations();
+  const uint64_t t0 = obs::TraceEnabled() ? obs::MonotonicNanos() : 0;
   std::optional<PhysicalPlan> next = adaptive_->MaybeReplan(current);
+  bool switched = false;
   if (next.has_value()) {
     const Status st = SwitchPlan(*next);
+    switched = st.ok();
     if (!st.ok()) {
       ZS_LOG(Warn) << "plan switch failed: " << st.ToString();
     }
+  }
+  if (t0 == 0 || adaptive_->replan_evaluations() == evaluations) return;
+  const uint64_t trace = obs::Tracer::Global().NewTraceId();
+  const uint64_t t1 = obs::MonotonicNanos();
+  obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kReplan, trace, t0, t1,
+                   options_.label.c_str(), switched ? 1 : 0);
+  if (switched) {
+    obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kPlanSwitch, trace,
+                     t1, t1, options_.label.c_str(), plan_fingerprint_);
   }
 }
 
@@ -594,11 +606,6 @@ Status Engine::SwitchPlan(const PhysicalPlan& plan) {
   rebuild_round_pending_ = true;
   ++plan_switches_;
   return Status::OK();
-}
-
-StatsCatalog Engine::StatsSnapshot(const StatsCatalog& defaults) const {
-  if (windowed_stats_ == nullptr) return defaults;
-  return windowed_stats_->Snapshot(*pattern_, defaults);
 }
 
 uint64_t Engine::pairs_tried() const {
@@ -638,9 +645,9 @@ NodeProfile ProfileNode(const Pattern& pattern, const OperatorNode& node) {
 
 }  // namespace
 
-NodeProfile Engine::Profile() const {
-  if (root_ == nullptr) return NodeProfile{};
-  return ProfileNode(*pattern_, *root_);
+PlanProfiles Engine::Profile() const {
+  return {PlanProfile{plan_.Explain(*pattern_), plan_.estimated_cost, 1,
+                      ProfileNode(*pattern_, *root_)}};
 }
 
 std::string Engine::ExplainAnalyze() const {
@@ -654,7 +661,7 @@ std::string Engine::ExplainAnalyze() const {
      << " rounds=" << assembly_rounds_ << " plan_switches=" << plan_switches_
      << " late=" << late_events_;
   if (options_.slow_event_ns > 0) os << " slow_events=" << slow_events_;
-  os << "\n" << RenderNodeProfile(Profile());
+  os << "\n" << RenderPlanProfiles(Profile());
   return os.str();
 }
 

@@ -38,11 +38,10 @@ struct EngineOptions {
   int batch_size = 64;
   /// Use hash indexes for equality predicates (Section 5.2.2).
   bool use_hash_indexes = true;
-  /// Enable runtime statistics + cost-based plan adaptation (Section 5.3).
+  /// Enable runtime statistics + cost-based plan adaptation (Section 5.3):
+  /// the engine re-plans itself from its own windowed statistics.
   bool adaptive = false;
   AdaptiveOptions adaptive_options;
-  /// Collect runtime statistics even when not adapting.
-  bool collect_stats = false;
   /// Per-node assembly timing (EXPLAIN ANALYZE `time=` column): two
   /// clock reads per operator per assembly round. Off by default; the
   /// per-node counters are always on (and near-free, see
@@ -105,18 +104,15 @@ class Engine : public EngineCore, private MatchSink {
     callback_ = std::move(cb);
   }
 
-  /// Replaces the physical plan between assembly rounds (Section 5.3).
-  Status SwitchPlan(const PhysicalPlan& plan) override;
-
-  /// Windowed stats as a catalog; `defaults` when not collecting stats.
-  StatsCatalog StatsSnapshot(const StatsCatalog& defaults) const override;
+  /// Replaces the physical plan between assembly rounds (Section 5.3);
+  /// the adaptive controller's switch path.
+  Status SwitchPlan(const PhysicalPlan& plan);
 
   const Pattern& pattern() const override { return *pattern_; }
-  const PhysicalPlan& current_plan() const { return plan_; }
-  std::string ExplainPlan() const { return plan_.Explain(*pattern_); }
 
-  /// Live per-node counter tree (see node_profile.h).
-  NodeProfile Profile() const override;
+  /// The installed plan with its live per-node counter tree (one
+  /// entry; see node_profile.h).
+  PlanProfiles Profile() const override;
   /// Renders the plan tree annotated with live counters/timings, plus
   /// engine totals and predicted-vs-observed cost.
   std::string ExplainAnalyze() const;
@@ -127,8 +123,10 @@ class Engine : public EngineCore, private MatchSink {
   const std::string& label() const { return options_.label; }
 
   /// FNV-1a 64 of the installed plan's Explain rendering (refreshed on
-  /// every Build/SwitchPlan); see EngineCore::plan_fingerprint.
-  uint64_t plan_fingerprint() const override { return plan_fingerprint_; }
+  /// every Build/SwitchPlan). Spans and match provenance (obs/trace.h)
+  /// carry it, so a match stays attributable to the exact plan shape
+  /// that produced it even after an adaptive switch.
+  uint64_t plan_fingerprint() const { return plan_fingerprint_; }
 
   uint64_t num_matches() const override { return num_matches_; }
   uint64_t events_pushed() const override { return events_pushed_; }

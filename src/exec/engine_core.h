@@ -6,14 +6,15 @@
 // hash-partitioned PartitionedEngine. Implementations are single-threaded
 // (one shard worker owns each instance); cross-thread aggregation happens
 // above, via atomic match counters, the thread-safe MemoryTracker and the
-// merged StatsCatalog snapshots.
+// PlanProfiles each engine reports. An adaptive engine re-plans itself
+// (EngineOptions::adaptive); the layers above read the live plans back
+// through Profile() and keep no copy of their own.
 #ifndef ZSTREAM_EXEC_ENGINE_CORE_H_
 #define ZSTREAM_EXEC_ENGINE_CORE_H_
 
 #include <functional>
 #include <string>
 
-#include "common/status.h"
 #include "event/event.h"
 #include "exec/node_profile.h"
 
@@ -22,8 +23,6 @@ namespace zstream {
 struct Match;
 class MemoryTracker;
 class Pattern;
-struct PhysicalPlan;
-class StatsCatalog;
 
 /// Consumes one completed match: a view valid for the duration of the
 /// call (exec/match.h); copy it into an OwnedMatch to keep it.
@@ -57,31 +56,19 @@ class EngineCore {
   /// Installs a match consumer; without one, matches are only counted.
   virtual void SetMatchCallback(MatchCallback cb) = 0;
 
-  /// Replaces the physical plan between assembly rounds (Section 5.3).
-  virtual Status SwitchPlan(const PhysicalPlan& plan) = 0;
-
-  /// Windowed runtime statistics as a planner catalog; components with
-  /// too few observations (or engines not collecting stats) fall back to
-  /// `defaults`. Used by the runtime's merged re-planning.
-  virtual StatsCatalog StatsSnapshot(const StatsCatalog& defaults) const = 0;
-
   virtual uint64_t num_matches() const = 0;
   virtual uint64_t events_pushed() const = 0;
   virtual const Pattern& pattern() const = 0;
   virtual MemoryTracker& memory() = 0;
 
-  /// Live per-plan-node counters for EXPLAIN ANALYZE (see
-  /// node_profile.h). Partitioned/sharded engines merge their parts.
-  virtual NodeProfile Profile() const = 0;
+  /// The live plans with their per-node counters, for EXPLAIN ANALYZE
+  /// (see node_profile.h): one entry for an Engine, one per distinct
+  /// plan across a PartitionedEngine's partitions (empty before the
+  /// first partition exists).
+  virtual PlanProfiles Profile() const = 0;
 
   /// Human-readable query name for slow-event logs and metric labels.
   virtual void SetLabel(const std::string& label) = 0;
-
-  /// FNV-1a 64 hash of the installed plan's Explain rendering. Spans
-  /// and match provenance (obs/trace.h) carry this so a match stays
-  /// attributable to the exact plan shape that produced it even after
-  /// an adaptive switch. 0 when no plan is installed yet.
-  virtual uint64_t plan_fingerprint() const { return 0; }
 };
 
 }  // namespace zstream

@@ -1,5 +1,6 @@
 #include "exec/node_profile.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -15,22 +16,51 @@ bool NodeProfile::SameShape(const NodeProfile& other) const {
   return true;
 }
 
-Status MergeNodeProfile(NodeProfile* into, const NodeProfile& from) {
-  if (!into->SameShape(from)) {
-    return Status::Internal("cannot merge node profiles: plan shapes "
-                            "differ ('" + into->label + "' vs '" +
-                            from.label + "')");
-  }
+uint64_t NodeProfile::TotalPairs() const {
+  uint64_t total = pairs_tried;
+  for (const NodeProfile& child : children) total += child.TotalPairs();
+  return total;
+}
+
+namespace {
+
+/// Sums `from` into `into`; the trees have the same shape.
+void MergeNode(NodeProfile* into, const NodeProfile& from) {
   into->events_in += from.events_in;
   into->records_out += from.records_out;
   into->pairs_tried += from.pairs_tried;
   into->buffer_records += from.buffer_records;
   into->eval_ns += from.eval_ns;
   for (size_t i = 0; i < into->children.size(); ++i) {
-    // Shape already verified for the whole tree; recursion cannot fail.
-    (void)MergeNodeProfile(&into->children[i], from.children[i]);
+    MergeNode(&into->children[i], from.children[i]);
   }
-  return Status::OK();
+}
+
+}  // namespace
+
+void FoldPlanProfiles(PlanProfiles* into, PlanProfiles from) {
+  for (PlanProfile& entry : from) {
+    auto same = std::find_if(into->begin(), into->end(),
+                             [&](const PlanProfile& p) {
+                               return p.plan == entry.plan &&
+                                      p.root.SameShape(entry.root);
+                             });
+    if (same == into->end()) {
+      into->push_back(std::move(entry));
+      continue;
+    }
+    const double engines = static_cast<double>(same->engines + entry.engines);
+    same->estimated_cost =
+        (same->estimated_cost * static_cast<double>(same->engines) +
+         entry.estimated_cost * static_cast<double>(entry.engines)) /
+        engines;
+    same->engines += entry.engines;
+    MergeNode(&same->root, entry.root);
+  }
+  std::stable_sort(into->begin(), into->end(),
+                   [](const PlanProfile& a, const PlanProfile& b) {
+                     return a.engines > b.engines;
+                   });
 }
 
 namespace {
@@ -64,9 +94,15 @@ void RenderNode(std::ostringstream& os, const NodeProfile& node,
 
 }  // namespace
 
-std::string RenderNodeProfile(const NodeProfile& root) {
+std::string RenderPlanProfiles(const PlanProfiles& plans) {
   std::ostringstream os;
-  RenderNode(os, root, 0);
+  for (const PlanProfile& p : plans) {
+    if (plans.size() > 1) {
+      os << "plan=" << p.plan << " cost_est=" << std::setprecision(6)
+         << p.estimated_cost << " engines=" << p.engines << "\n";
+    }
+    RenderNode(os, p.root, 0);
+  }
   return os.str();
 }
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/macros.h"
-#include "obs/trace.h"
 #include "verify/plan_verifier.h"
 
 namespace zstream {
@@ -19,7 +18,6 @@ PartitionedEngine::PartitionedEngine(PatternPtr pattern, PhysicalPlan plan,
     owned_tracker_ = std::make_unique<MemoryTracker>();
     tracker_ = owned_tracker_.get();
   }
-  plan_fingerprint_ = obs::Fnv1a64(plan_.Explain(*pattern_));
 }
 
 Result<std::unique_ptr<PartitionedEngine>> PartitionedEngine::Create(
@@ -107,65 +105,44 @@ uint64_t PartitionedEngine::num_matches() const {
   return total;
 }
 
-Status PartitionedEngine::SwitchPlan(const PhysicalPlan& plan) {
-  // Verify before touching any partition: a refused plan must leave
-  // every sub-engine on the old one.
-  ZS_RETURN_IF_ERROR(verify::VerifyPlan(*pattern_, plan));
-  for (auto& [key, part] : partitions_) {
-    ZS_RETURN_IF_ERROR(part.engine->SwitchPlan(plan));
+uint64_t PartitionedEngine::plan_switches() const {
+  uint64_t total = 0;
+  for (const auto& [key, part] : partitions_) {
+    total += part.engine->plan_switches();
   }
-  plan_ = plan;
-  plan_fingerprint_ = obs::Fnv1a64(plan_.Explain(*pattern_));
-  ++plan_switches_;
-  return Status::OK();
+  return total;
 }
 
-StatsCatalog PartitionedEngine::StatsSnapshot(
-    const StatsCatalog& defaults) const {
-  std::vector<StatsCatalog> parts;
-  std::vector<double> weights;
-  parts.reserve(partitions_.size());
-  weights.reserve(partitions_.size());
+PlanProfiles PartitionedEngine::Profile() const {
+  PlanProfiles live;
   for (const auto& [key, part] : partitions_) {
-    if (part.engine->windowed_stats() == nullptr) continue;
-    parts.push_back(part.engine->StatsSnapshot(defaults));
-    weights.push_back(static_cast<double>(part.engine->events_pushed()));
+    FoldPlanProfiles(&live, part.engine->Profile());
   }
-  if (parts.empty()) return defaults;
-  return MergeStatsCatalogs(parts, weights);
-}
-
-NodeProfile PartitionedEngine::Profile() const {
-  NodeProfile merged;
-  bool first = true;
-  for (const auto& [key, part] : partitions_) {
-    if (first) {
-      merged = part.engine->Profile();
-      first = false;
-      continue;
-    }
-    const Status st = MergeNodeProfile(&merged, part.engine->Profile());
-    if (!st.ok()) return merged;  // unreachable: partitions share plan_
-  }
-  return merged;
+  return live;
 }
 
 std::string PartitionedEngine::ExplainAnalyze() const {
+  const PlanProfiles live = Profile();
   std::ostringstream os;
   if (!options_.label.empty()) os << "query=" << options_.label << " ";
-  os << "plan=" << plan_.Explain(*pattern_);
   os.precision(6);
-  os << " cost_est=" << plan_.estimated_cost << " [hash-partitioned on "
-     << pattern_->partition->field_name << ", " << partitions_.size()
-     << " partitions]\n";
+  if (live.empty()) {
+    os << "plan=" << plan_.Explain(*pattern_)
+       << " cost_est=" << plan_.estimated_cost;
+  } else {
+    os << "plan=" << live.front().plan
+       << " cost_est=" << live.front().estimated_cost;
+  }
+  os << " [hash-partitioned on " << pattern_->partition->field_name << ", "
+     << partitions_.size() << " partitions]\n";
   os << "events_pushed=" << events_pushed_
      << " matches=" << num_matches()
-     << " plan_switches=" << plan_switches_ << " late=" << late_events()
+     << " plan_switches=" << plan_switches() << " late=" << late_events()
      << "\n";
-  if (partitions_.empty()) {
+  if (live.empty()) {
     os << "(no partitions instantiated yet)\n";
   } else {
-    os << RenderNodeProfile(Profile());
+    os << RenderPlanProfiles(live);
   }
   return os.str();
 }

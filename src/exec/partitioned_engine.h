@@ -42,38 +42,25 @@ class PartitionedEngine : public EngineCore {
     }
   }
 
-  /// Switches every existing partition's plan (Section 5.3's state-
-  /// preserving switch) and instantiates future partitions with it.
-  Status SwitchPlan(const PhysicalPlan& plan) override;
-
-  /// Event-weighted merge of the per-partition windowed stats (partition
-  /// rates sum; selectivities average). `defaults` when no partition has
-  /// stats to report.
-  StatsCatalog StatsSnapshot(const StatsCatalog& defaults) const override;
-
   uint64_t num_matches() const override;
   uint64_t events_pushed() const override { return events_pushed_; }
-  uint64_t plan_switches() const { return plan_switches_; }
+  /// Plan switches summed over the partitions (each adapts on its own
+  /// statistics under EngineOptions::adaptive).
+  uint64_t plan_switches() const;
   /// Events the sub-engines dropped for arriving out of timestamp order.
   uint64_t late_events() const;
-  /// Renders the current plan (reflects SwitchPlan updates).
-  std::string ExplainPlan() const { return plan_.Explain(*pattern_); }
   size_t num_partitions() const { return partitions_.size(); }
   MemoryTracker& memory() override { return *tracker_; }
   const Pattern& pattern() const override { return *pattern_; }
 
-  /// Structural merge of every partition's node profile (all partitions
-  /// share one plan shape); empty profile before the first partition.
-  NodeProfile Profile() const override;
-  /// Merged plan tree with live counters, plus engine totals.
+  /// The partitions' profiles folded per distinct live plan; empty
+  /// before the first partition.
+  PlanProfiles Profile() const override;
+  /// Live plan trees with their counters, plus engine totals.
   std::string ExplainAnalyze() const;
 
   /// Propagates to existing partitions and seeds future ones.
   void SetLabel(const std::string& label) override;
-
-  /// All partitions share one plan shape, so the partition-level plan's
-  /// fingerprint stands for every sub-engine (refreshed by SwitchPlan).
-  uint64_t plan_fingerprint() const override { return plan_fingerprint_; }
 
  private:
   PartitionedEngine(PatternPtr pattern, PhysicalPlan plan,
@@ -88,6 +75,7 @@ class PartitionedEngine : public EngineCore {
   void RunRounds();
 
   PatternPtr pattern_;
+  /// The registered plan: every new partition starts on it.
   PhysicalPlan plan_;
   EngineOptions options_;
   MemoryTracker* tracker_;
@@ -98,8 +86,6 @@ class PartitionedEngine : public EngineCore {
   std::vector<Partition*> dirty_;
   int pending_in_batch_ = 0;
   uint64_t events_pushed_ = 0;
-  uint64_t plan_switches_ = 0;
-  uint64_t plan_fingerprint_ = 0;
   Engine::MatchCallback callback_;
 };
 

@@ -11,7 +11,7 @@
 //     Steady-state tracing never allocates on the hot path (the rings
 //     are sized once at Configure), so hotpath_lint.py stays green.
 //   - Every span lives in a fixed-size per-lane ring buffer. Lane 0 is
-//     the control/net lane (client, server accept loop, replanner);
+//     the control/net lane (client, server accept loop);
 //     lane 1+s belongs to shard worker s. Old spans are overwritten, so
 //     the rings always hold the most recent window — that is the flight
 //     recorder's data source (see flight_recorder.h).

@@ -147,37 +147,4 @@ StatsCatalog WindowedClassStats::Snapshot(const Pattern& pattern,
   return out;
 }
 
-StatsCatalog MergeStatsCatalogs(const std::vector<StatsCatalog>& parts,
-                                const std::vector<double>& weights) {
-  ZS_DCHECK(!parts.empty());
-  ZS_DCHECK(parts.size() == weights.size());
-  const int n = parts.front().num_classes();
-  StatsCatalog out(n, parts.front().window());
-
-  double total_weight = 0.0;
-  for (double w : weights) total_weight += w;
-
-  for (int c = 0; c < n; ++c) {
-    double rate = 0.0;
-    for (const StatsCatalog& part : parts) rate += part.rate(c);
-    out.set_rate(c, rate);
-  }
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      double pair_sel = 0.0;
-      double time_sel = 0.0;
-      for (size_t k = 0; k < parts.size(); ++k) {
-        const double w =
-            total_weight > 0.0 ? weights[k] / total_weight
-                               : 1.0 / static_cast<double>(parts.size());
-        pair_sel += w * parts[k].PairSel(i, j);
-        time_sel += w * parts[k].TimeSel(i, j);
-      }
-      out.SetPairSel(i, j, pair_sel);
-      out.SetTimeSel(i, j, time_sel);
-    }
-  }
-  return out;
-}
-
 }  // namespace zstream

@@ -70,15 +70,6 @@ class StatsCatalog {
   std::map<std::pair<int, int>, double> time_sel_;
 };
 
-/// Merges per-shard (or per-partition) catalogs observed over disjoint
-/// slices of one stream: class rates sum (each slice saw a fraction of
-/// the traffic over the same event-time span); pair/time selectivities
-/// are averaged weighted by `weights` (typically events observed per
-/// slice). Used by PartitionedEngine::StatsSnapshot and the runtime's
-/// merged re-planning. `parts` must be non-empty and share num_classes.
-StatsCatalog MergeStatsCatalogs(const std::vector<StatsCatalog>& parts,
-                                const std::vector<double>& weights);
-
 /// \brief Windowed runtime estimator feeding plan adaptation.
 ///
 /// Counts are kept in fixed-width event-time buckets; estimates average

@@ -1,17 +1,14 @@
 #include "runtime/stream_runtime.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 
-#include "common/logging.h"
 #include "common/sync.h"
 #include "exec/reorder.h"
 #include "obs/trace.h"
 #include "runtime/mpsc_queue.h"
-#include "verify/plan_verifier.h"
 
 namespace zstream::runtime {
 
@@ -59,22 +56,11 @@ void Gate::Open() {
   cv_.NotifyAll();
 }
 
-/// Merged-stats collection rendezvous for ReplanQuery.
-struct StreamRuntime::CollectCtx {
-  /// Written once by the control plane before the collect message is
-  /// published; read-only for workers afterwards, so unguarded.
-  StatsCatalog defaults;
-  zs::Mutex mu;
-  std::vector<StatsCatalog> parts ZS_GUARDED_BY(mu);
-  std::vector<double> weights ZS_GUARDED_BY(mu);
-};
-
 /// Profile collection rendezvous for ExplainAnalyze: each shard worker
-/// merges its engine's node profile at a message boundary.
+/// folds its engine's live plans in at a message boundary.
 struct StreamRuntime::ProfileCtx {
   zs::Mutex mu;
-  bool has ZS_GUARDED_BY(mu) = false;
-  NodeProfile merged ZS_GUARDED_BY(mu);
+  PlanProfiles live ZS_GUARDED_BY(mu);
   uint64_t events_pushed ZS_GUARDED_BY(mu) = 0;
 };
 
@@ -86,6 +72,8 @@ struct StreamRuntime::QueryState {
   StreamId stream = -1;
   std::string text;
   PatternPtr pattern;
+  /// The registered plan; engines adapt away from it on their own.
+  PhysicalPlan plan;
   RoutePolicy route = RoutePolicy::kPinned;
   int key_field = -1;
   int pinned_shard = 0;
@@ -104,23 +92,15 @@ struct StreamRuntime::QueryState {
   /// Ingest-to-emission latency for this query, owned by the runtime's
   /// registry (null only if registration raced Stop()).
   obs::Histogram* latency = nullptr;
-  /// The installed plan's estimated cost (refreshed by ReplanQuery) and
-  /// the observed operator-pairs total (refreshed at ExplainAnalyze
-  /// barriers) — the predicted-vs-observed pair in /metrics.
+  /// The estimated cost of the plan most engines run and the observed
+  /// operator-pairs total — the predicted-vs-observed pair in /metrics.
+  /// Both are refreshed at ExplainAnalyze barriers (the cost starts as
+  /// the registered plan's).
   std::atomic<double> plan_cost{0.0};
   std::atomic<uint64_t> observed_pairs{0};
   /// Shared by every shard engine (MemoryTracker is thread-safe).
   std::unique_ptr<MemoryTracker> tracker;
   std::vector<std::unique_ptr<EngineCore>> engines;  // [shard] or null
-  /// Serializes ReplanQuery's controller + plan updates without holding
-  /// the runtime-wide control_mu_ across worker barriers (a worker
-  /// blocked on control_mu_ inside a MatchSink callback must never be
-  /// one we are waiting on).
-  zs::Mutex replan_mu;
-  PhysicalPlan plan ZS_GUARDED_BY(replan_mu);  // control-plane plan view
-  /// enable_replan only; the pointer itself is set once at registration,
-  /// the controller's mutable state is driven only under replan_mu.
-  std::unique_ptr<AdaptiveController> controller ZS_PT_GUARDED_BY(replan_mu);
 
   /// Worker-side re-filter: several queries can route one event to the
   /// same shard, so each engine checks that the event is its own. The
@@ -155,9 +135,7 @@ struct StreamRuntime::ShardMsg {
     kRegister,
     kUnregister,
     kFinishAll,     // flush barrier: Finish every engine on the shard
-    kSwitchPlan,
-    kCollectStats,
-    kCollectProfile,  // EXPLAIN ANALYZE: merge node profiles at a barrier
+    kCollectProfile,  // EXPLAIN ANALYZE: fold live plans at a barrier
     kGate,
   };
 
@@ -177,8 +155,6 @@ struct StreamRuntime::ShardMsg {
   size_t key_hint_hash = 0;
   std::shared_ptr<QueryState> query;
   std::shared_ptr<SyncPoint> sync;
-  std::shared_ptr<const PhysicalPlan> plan;
-  std::shared_ptr<CollectCtx> collect;
   std::shared_ptr<ProfileCtx> profile;
   std::shared_ptr<Gate> gate;
 };
@@ -461,55 +437,16 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
           msg.sync->Arrive();
           break;
         }
-        case ShardMsg::Kind::kSwitchPlan: {
-          const QueryId id = msg.query->id;
-          for (Shard::Entry& entry : shard->entries) {
-            if (entry.query->id != id) continue;
-            const Status st = entry.engine->SwitchPlan(*msg.plan);
-            if (!st.ok()) {
-              ZS_LOG(Warn) << "shard " << shard->index
-                           << " plan switch failed: " << st.ToString();
-            }
-          }
-          msg.sync->Arrive();
-          break;
-        }
-        case ShardMsg::Kind::kCollectStats: {
-          const QueryId id = msg.query->id;
-          for (Shard::Entry& entry : shard->entries) {
-            if (entry.query->id != id) continue;
-            CollectCtx* ctx = msg.collect.get();
-            StatsCatalog part = entry.engine->StatsSnapshot(ctx->defaults);
-            const double weight =
-                static_cast<double>(entry.engine->events_pushed());
-            zs::MutexLock lock(ctx->mu);
-            ctx->parts.push_back(std::move(part));
-            ctx->weights.push_back(weight);
-          }
-          msg.sync->Arrive();
-          break;
-        }
         case ShardMsg::Kind::kCollectProfile: {
           const QueryId id = msg.query->id;
           for (Shard::Entry& entry : shard->entries) {
             if (entry.query->id != id) continue;
             ProfileCtx* ctx = msg.profile.get();
-            NodeProfile part = entry.engine->Profile();
+            PlanProfiles part = entry.engine->Profile();
             const uint64_t pushed = entry.engine->events_pushed();
             zs::MutexLock lock(ctx->mu);
             ctx->events_pushed += pushed;
-            if (!ctx->has) {
-              ctx->merged = std::move(part);
-              ctx->has = true;
-            } else {
-              // Same query, same plan on every shard -> same shape; a
-              // failed merge would mean shard engines desynchronized.
-              const Status st = MergeNodeProfile(&ctx->merged, part);
-              if (!st.ok()) {
-                ZS_LOG(Warn) << "shard " << shard->index
-                             << " profile merge failed: " << st.ToString();
-              }
-            }
+            FoldPlanProfiles(&ctx->live, std::move(part));
           }
           msg.sync->Arrive();
           break;
@@ -817,12 +754,7 @@ Result<QueryId> StreamRuntime::RegisterCompiled(
   qs->stream = stream;
   qs->text = std::move(text);
   qs->pattern = pattern;
-  {
-    // No concurrent access yet (qs is unpublished); the lock satisfies
-    // the plan field's replan_mu guard.
-    zs::MutexLock replan(q->replan_mu);
-    q->plan = plan;
-  }
+  qs->plan = plan;
   qs->route = route;
   qs->num_shards = static_cast<int>(shards_.size());
   qs->sink = options.sink;
@@ -842,15 +774,6 @@ Result<QueryId> StreamRuntime::RegisterCompiled(
   qs->latency = registry_.GetHistogram(
       "zstream_detection_latency_seconds", {{"query", qs->label}},
       "Ingest-to-emission latency of each match", 1e-9);
-  if (options.enable_replan) {
-    eopts.collect_stats = true;
-    const StatsCatalog defaults(pattern->num_classes(),
-                                static_cast<double>(pattern->window));
-    zs::MutexLock replan(q->replan_mu);
-    q->controller =
-        std::make_unique<AdaptiveController>(pattern, options.replan);
-    q->controller->OnPlanInstalled(plan, defaults);
-  }
 
   const std::vector<int> targets = TargetShards(*qs);
   for (int s : targets) {
@@ -956,7 +879,7 @@ Result<uint64_t> StreamRuntime::UnregisterQuery(QueryId id) {
 }
 
 // ---------------------------------------------------------------------
-// Barriers, stats, re-planning
+// Barriers and diagnostics
 // ---------------------------------------------------------------------
 
 Status StreamRuntime::Flush() {
@@ -997,96 +920,6 @@ Result<int> StreamRuntime::query_shard_count(QueryId id) const {
   return static_cast<int>(TargetShards(*it->second).size());
 }
 
-Result<bool> StreamRuntime::ReplanQuery(QueryId id) {
-  if (stopped_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("runtime is stopped");
-  }
-  std::shared_ptr<QueryState> qs;
-  {
-    zs::MutexLock control(control_mu_);
-    auto it = queries_.find(id);
-    if (it == queries_.end()) {
-      return Status::NotFound("no query with that id");
-    }
-    qs = it->second;
-  }
-  QueryState* q = qs.get();
-  if (q->controller == nullptr) {
-    return Status::FailedPrecondition(
-        "query was not registered with QueryOptions::enable_replan");
-  }
-  // Controller/plan updates serialize on the query's own mutex;
-  // control_mu_ must not be held across the worker barriers below.
-  zs::MutexLock replan(q->replan_mu);
-
-  // Adaptive decisions are control-plane work: give each evaluation its
-  // own trace (lane 0) so plan churn is auditable next to event spans.
-  const uint64_t replan_trace = obs::Tracer::Global().NewTraceId();
-  const uint64_t replan_t0 = obs::MonotonicNanos();
-  auto end_replan = [&](bool switched) {
-    obs::TraceRecord(0, obs::SpanKind::kReplan, replan_trace, replan_t0,
-                     obs::MonotonicNanos(), q->label.c_str(),
-                     switched ? 1 : 0);
-  };
-
-  auto collect = std::make_shared<CollectCtx>();
-  CollectCtx* cctx = collect.get();
-  cctx->defaults = StatsCatalog(q->pattern->num_classes(),
-                                static_cast<double>(q->pattern->window));
-  ShardMsg msg;
-  msg.kind = ShardMsg::Kind::kCollectStats;
-  msg.query = qs;
-  msg.collect = collect;
-  SyncShards(TargetShards(*qs), std::move(msg));
-
-  // The barrier above ordered every worker's writes before this point;
-  // the (now uncontended) lock makes that visible to the analysis.
-  size_t num_parts = 0;
-  std::optional<StatsCatalog> merged_opt;
-  {
-    zs::MutexLock lock(cctx->mu);
-    if (cctx->parts.empty()) {
-      end_replan(false);
-      return false;
-    }
-    num_parts = cctx->parts.size();
-    merged_opt = MergeStatsCatalogs(cctx->parts, cctx->weights);
-  }
-  StatsCatalog merged = std::move(*merged_opt);
-  if (q->route == RoutePolicy::kBroadcast && num_parts > 1) {
-    // MergeStatsCatalogs sums rates assuming disjoint stream slices;
-    // broadcast shards each saw the FULL stream, so undo the N-fold
-    // inflation (selectivity averages remain correct either way).
-    for (int c = 0; c < merged.num_classes(); ++c) {
-      merged.set_rate(c,
-                      merged.rate(c) / static_cast<double>(num_parts));
-    }
-  }
-  std::optional<PhysicalPlan> next = q->controller->MaybeReplan(merged);
-  if (!next.has_value()) {
-    end_replan(false);
-    return false;
-  }
-  // The controller already verified the candidate, but a plan is about
-  // to be broadcast to every shard — re-check at the last seam so a
-  // future controller bug cannot desynchronize shard engines.
-  ZS_RETURN_IF_ERROR(verify::VerifyPlan(*q->pattern, *next));
-
-  ShardMsg switch_msg;
-  switch_msg.kind = ShardMsg::Kind::kSwitchPlan;
-  switch_msg.query = qs;
-  switch_msg.plan = std::make_shared<const PhysicalPlan>(*next);
-  const uint64_t switch_t0 = obs::MonotonicNanos();
-  SyncShards(TargetShards(*qs), std::move(switch_msg));
-  obs::TraceRecord(0, obs::SpanKind::kPlanSwitch, replan_trace, switch_t0,
-                   obs::MonotonicNanos(), q->label.c_str(),
-                   obs::Fnv1a64(next->Explain(*q->pattern)));
-  q->plan = *next;
-  q->plan_cost.store(next->estimated_cost, std::memory_order_relaxed);
-  end_replan(true);
-  return true;
-}
-
 Result<std::string> StreamRuntime::ExplainAnalyze(QueryId id) {
   if (stopped_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("runtime is stopped");
@@ -1111,46 +944,34 @@ Result<std::string> StreamRuntime::ExplainAnalyze(QueryId id) {
     return Status::FailedPrecondition("runtime stopped during profile");
   }
 
-  std::ostringstream os;
-  os << "query=" << q->label;
-  {
-    // q->plan is only mutated under replan_mu (ReplanQuery).
-    zs::MutexLock replan(q->replan_mu);
-    os << " plan=" << q->plan.Explain(*q->pattern);
-    os.precision(6);
-    os << " cost_est=" << q->plan.estimated_cost;
-  }
   // The SyncShards barrier ordered the workers' profile writes before
   // this point; the uncontended lock makes that visible to the analysis.
-  uint64_t pairs = 0;
+  PlanProfiles live;
   uint64_t events_pushed = 0;
-  bool has_profile = false;
-  std::string rendered;
   {
     zs::MutexLock lock(pctx->mu);
-    has_profile = pctx->has;
+    live = std::move(pctx->live);
     events_pushed = pctx->events_pushed;
-    if (pctx->has) {
-      // The observed analogue of the cost estimate: total operator input
-      // combinations tried, summed over the merged tree.
-      std::function<void(const NodeProfile&)> sum =
-          [&](const NodeProfile& n) {
-            pairs += n.pairs_tried;
-            for (const NodeProfile& c : n.children) sum(c);
-          };
-      sum(pctx->merged);
-      rendered = RenderNodeProfile(pctx->merged);
-    }
   }
+  uint64_t pairs = 0;
+  for (const PlanProfile& p : live) pairs += p.root.TotalPairs();
+  const double cost =
+      live.empty() ? q->plan.estimated_cost : live.front().estimated_cost;
   q->observed_pairs.store(pairs, std::memory_order_relaxed);
-  os << " observed_pairs=" << pairs << " shards="
+  q->plan_cost.store(cost, std::memory_order_relaxed);
+
+  std::ostringstream os;
+  os << "query=" << q->label << " plan="
+     << (live.empty() ? q->plan.Explain(*q->pattern) : live.front().plan);
+  os.precision(6);
+  os << " cost_est=" << cost << " observed_pairs=" << pairs << " shards="
      << TargetShards(*qs).size() << "\n";
   os << "events_pushed=" << events_pushed << " matches="
      << q->matches.load(std::memory_order_relaxed) << "\n";
-  if (has_profile) {
-    os << rendered;
-  } else {
+  if (live.empty()) {
     os << "(no engine profile collected)\n";
+  } else {
+    os << RenderPlanProfiles(live);
   }
   return os.str();
 }
@@ -1205,8 +1026,9 @@ void StreamRuntime::UpdateMetrics() {
                    "Matches emitted by the query")
         ->Store(query_matches);
     reg.GetGauge("zstream_query_plan_cost_estimate", labels,
-                 "Estimated cost of the installed plan (rounded; "
-                 "refreshed on adaptive switches)")
+                 "Estimated cost of the plan most of the query's "
+                 "engines run (rounded; refreshed at ExplainAnalyze "
+                 "barriers)")
         ->Set(static_cast<int64_t>(
             qs->plan_cost.load(std::memory_order_relaxed)));
     reg.GetCounter("zstream_query_pairs_observed_total", labels,

@@ -20,9 +20,10 @@
 // Queries register and unregister at runtime; both are barriers (they
 // return once every shard has installed/retired its engine), so events
 // ingested after RegisterQuery() returns are guaranteed to be seen.
-// Per-shard windowed statistics can be merged into one StatsCatalog and
-// fed to a query-level AdaptiveController (ReplanQuery), broadcasting a
-// Section-5.3 state-preserving plan switch to every shard.
+// Plan adaptation is per engine (EngineOptions::adaptive): each shard
+// engine, and each partition of a keyed one, re-plans from its own
+// statistics (Section 5.3). ExplainAnalyze reads the live plans back
+// from the engines at a barrier.
 #ifndef ZSTREAM_RUNTIME_STREAM_RUNTIME_H_
 #define ZSTREAM_RUNTIME_STREAM_RUNTIME_H_
 
@@ -36,7 +37,6 @@
 #include "api/zstream.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
-#include "opt/adaptive.h"
 #include "runtime/match_sink.h"
 #include "runtime/runtime_options.h"
 
@@ -48,10 +48,6 @@ struct QueryOptions {
   RoutePolicy route = RoutePolicy::kAuto;
   /// Thread-safe match consumer (not owned; may be null: count only).
   MatchSink* sink = nullptr;
-  /// Enables merged-stats re-planning via ReplanQuery (forces
-  /// collect_stats on the per-shard engines).
-  bool enable_replan = false;
-  AdaptiveOptions replan;
 };
 
 /// \brief Test/diagnostic hook: parks a shard worker until opened, so a
@@ -155,17 +151,12 @@ class StreamRuntime {
   /// Number of shards actually hosting an engine for the query.
   Result<int> query_shard_count(QueryId id) const;
 
-  /// Merges per-shard windowed stats and asks the query's
-  /// AdaptiveController for a better plan; on success broadcasts the
-  /// plan switch to every shard. Returns true when a switch happened.
-  /// Requires QueryOptions::enable_replan at registration.
-  Result<bool> ReplanQuery(QueryId id);
-
-  /// The query's merged plan tree annotated with live per-node counters
-  /// (EXPLAIN ANALYZE). A barrier: every shard worker snapshots its
-  /// engine's profile at a message boundary, so counters are consistent
-  /// with everything processed so far. Also refreshes the query's
-  /// observed-pairs metric.
+  /// The query's live plan trees annotated with per-node counters
+  /// (EXPLAIN ANALYZE), one tree per distinct plan its engines run. A
+  /// barrier: every shard worker snapshots its engine's profile at a
+  /// message boundary, so counters are consistent with everything
+  /// processed so far. Also refreshes the query's observed-pairs and
+  /// plan-cost metrics.
   Result<std::string> ExplainAnalyze(QueryId id);
 
   /// This runtime's metrics registry (shard/queue/query series, see
@@ -195,7 +186,6 @@ class StreamRuntime {
   struct Shard;        // defined in stream_runtime.cc
   struct QueryState;   // defined in stream_runtime.cc
   struct ShardMsg;     // defined in stream_runtime.cc
-  struct CollectCtx;   // defined in stream_runtime.cc
   struct ProfileCtx;   // defined in stream_runtime.cc
 
   /// Routing entry snapshot used by Ingest without touching QueryState.

@@ -46,6 +46,19 @@ std::vector<EventPtr> TimestampSorted(const std::vector<EventPtr>& events) {
   return sorted;
 }
 
+/// The most eager adaptation: statistics checked after every 4-event
+/// round, and any drift or improvement re-plans and switches, so the
+/// Section 5.3 switch path runs as often as the trace allows.
+EngineOptions EagerAdaptiveOptions() {
+  EngineOptions options;
+  options.batch_size = 4;
+  options.adaptive = true;
+  options.adaptive_options.drift_threshold = 0;
+  options.adaptive_options.improvement_threshold = 0;
+  options.adaptive_options.check_every_rounds = 1;
+  return options;
+}
+
 }  // namespace
 
 std::string EngineMatchKey(const Pattern& pattern, const Match& match) {
@@ -143,6 +156,9 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
     TreeVariant nohash{"tree:optimal/nohash", base};
     nohash.options.engine.use_hash_indexes = false;
     variants.push_back(nohash);
+    TreeVariant adaptive{"tree:optimal/adaptive", base};
+    adaptive.options.engine = EagerAdaptiveOptions();
+    variants.push_back(adaptive);
     TreeVariant nopart{"tree:optimal/nopartition", base};
     nopart.options.analyzer.detect_partition = false;
     variants.push_back(nopart);
@@ -208,11 +224,13 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
       std::string name;
       int shards;
       bool batched;  // IngestBatch in ragged chunks instead of Ingest
+      bool adaptive;  // EagerAdaptiveOptions on every shard engine
     };
     for (const RuntimeVariant& v :
-         {RuntimeVariant{"runtime:1", 1, false},
-          RuntimeVariant{"runtime:4", 4, false},
-          RuntimeVariant{"runtime:2/batches", 2, true}}) {
+         {RuntimeVariant{"runtime:1", 1, false, false},
+          RuntimeVariant{"runtime:4", 4, false, false},
+          RuntimeVariant{"runtime:4/adaptive", 4, false, true},
+          RuntimeVariant{"runtime:2/batches", 2, true, false}}) {
       const std::string& path = v.name;
       if (!want(path)) continue;
       runtime::RuntimeOptions ro;
@@ -231,7 +249,9 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
       runtime::CollectingMatchSink sink;
       runtime::QueryOptions qo;
       qo.sink = &sink;
-      auto qid = (*rt)->RegisterQuery(*sid, gp.text, CompileOptions{}, qo);
+      CompileOptions compile;
+      if (v.adaptive) compile.engine = EagerAdaptiveOptions();
+      auto qid = (*rt)->RegisterQuery(*sid, gp.text, compile, qo);
       if (!qid.ok()) {
         // Engine-unsupported shapes are inapplicable, not divergences.
         if (qid.status().code() != StatusCode::kNotSupported) {

@@ -138,7 +138,7 @@ TEST(Engine, WindowedStatsTrackRatesAndSelectivities) {
       "PATTERN A;B WHERE A.name='A' AND B.name='B' AND A.price > B.price "
       "WITHIN 50");
   EngineOptions options;
-  options.collect_stats = true;
+  options.adaptive = true;  // the windowed stats feed the controller
   auto engine = Engine::Create(p, LeftDeepPlan(*p), options);
   Random rng(31);
   for (int i = 0; i < 4000; ++i) {

@@ -198,7 +198,10 @@ TEST(ExplainAnalyze, EngineCountersReconcileWithEmittedMatches) {
   (*engine)->Finish();
   ASSERT_GT(matches, 0u);
 
-  const NodeProfile profile = (*engine)->Profile();
+  const PlanProfiles live = (*engine)->Profile();
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].engines, 1u);
+  const NodeProfile& profile = live[0].root;
   // The plan root's output records are exactly the emitted matches.
   EXPECT_EQ(profile.records_out, matches);
   // Every primitive event was offered to every leaf.

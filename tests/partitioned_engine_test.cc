@@ -1,8 +1,9 @@
 // PartitionedEngine: callback propagation to late-created partitions
-// (regression), cross-partition plan switching, merged statistics, span
-// ingest, and reordering in front of it.
+// (regression), per-partition adaptation and its read-back, span ingest,
+// and reordering in front of it.
 #include "exec/partitioned_engine.h"
 
+#include "api/internal.h"
 #include "test_util.h"
 #include "workload/stock_gen.h"
 
@@ -63,18 +64,14 @@ TEST(PartitionedEngine, ClearedCallbackAppliesToNewPartitions) {
   EXPECT_EQ(delivered, 1u);  // only X's match, before the clear
 }
 
-TEST(PartitionedEngine, SwitchPlanPreservesMatchSetAcrossPartitions) {
-  const PatternPtr p = MustAnalyze(
-      "PATTERN A;B;C WHERE A.name = B.name AND B.name = C.name "
-      "AND A.price < B.price AND B.price < C.price WITHIN 100");
-  StockGenOptions gen;
-  gen.names = {"S0", "S1", "S2", "S3"};
-  gen.weights = {1.0, 1.0, 1.0, 1.0};
-  gen.num_events = 4000;
-  gen.seed = 11;
-  const auto events = GenerateStockTrades(gen);
+// Every partition adapts on its own statistics (Section 5.3's
+// state-preserving switch, per partition): the match set stays the
+// static plan's, and the partitions' switches add up.
+TEST(PartitionedEngine, AdaptivePartitionsKeepMatchSetExact) {
+  const PatternPtr p = MustAnalyze(kKeyedPhaseQuery);
+  ASSERT_TRUE(p->partition.has_value());
+  const auto events = PhaseShiftStream(3000, 4);
 
-  // Baseline: left-deep throughout.
   std::vector<std::string> expected;
   {
     auto base = MakeEngine(p, LeftDeepPlan(*p));
@@ -85,58 +82,54 @@ TEST(PartitionedEngine, SwitchPlanPreservesMatchSetAcrossPartitions) {
   }
   ASSERT_FALSE(expected.empty());
 
-  // Same trace with a mid-stream switch to right-deep on every partition.
-  auto engine = MakeEngine(p, LeftDeepPlan(*p));
+  auto engine = MakeEngine(p, LeftDeepPlan(*p), PhaseShiftAdaptiveOptions());
   std::vector<std::string> keys;
   engine->SetMatchCallback([&](Match&& m) { keys.push_back(MatchKey(m)); });
-  const size_t half = events.size() / 2;
-  for (size_t i = 0; i < half; ++i) engine->Push(events[i]);
-  ASSERT_TRUE(engine->SwitchPlan(RightDeepPlan(*p)).ok());
-  EXPECT_EQ(engine->plan_switches(), 1u);
-  for (size_t i = half; i < events.size(); ++i) engine->Push(events[i]);
+  for (const EventPtr& e : events) engine->Push(e);
   engine->Finish();
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(keys, expected);
+  EXPECT_GT(engine->plan_switches(), 0u);
 }
 
-TEST(PartitionedEngine, StatsSnapshotMergesPartitionStats) {
-  // Leaf predicates split the price range 10%/90%, so the merged
-  // windowed stats must report class A well below class B.
-  const PatternPtr p = MustAnalyze(
-      "PATTERN A;B WHERE A.name = B.name AND A.price > 90 "
-      "AND B.price <= 90 WITHIN 100");
-  EngineOptions options;
-  options.collect_stats = true;
-  auto engine = MakeEngine(p, LeftDeepPlan(*p), options);
+// Regression: a partitioned adaptive Query reported the registered plan,
+// zero switches and, once partitions ran different plans, a profile cut
+// short at the first mismatch. Its EXPLAIN ANALYZE must cover every
+// event, whichever plan each partition runs.
+TEST(PartitionedEngine, AdaptiveQueryReportsEveryPartition) {
+  ZStream zs(StockSchema());
+  CompileOptions compile;
+  compile.strategy = PlanStrategy::kLeftDeep;
+  compile.engine = PhaseShiftAdaptiveOptions();
+  auto query = zs.Compile(kKeyedPhaseQuery, compile);
+  ASSERT_TRUE(query.ok()) << query.status();
+  ASSERT_TRUE((*query)->partitioned());
+  const auto events = PhaseShiftStream(20000, 8);
+  for (const EventPtr& e : events) (*query)->Push(e);
+  (*query)->Finish();
 
-  StockGenOptions gen;
-  gen.names = {"S0", "S1", "S2"};
-  gen.weights = {1.0, 1.0, 1.0};
-  gen.num_events = 6000;
-  gen.seed = 21;
-  for (const EventPtr& e : GenerateStockTrades(gen)) engine->Push(e);
-  engine->Finish();
+  EXPECT_GT((*query)->plan_switches(), 0u);
+  const PlanProfiles live =
+      zstream::internal::QueryAccess::Core(**query)->Profile();
+  ASSERT_FALSE(live.empty());
+  // Odd keys end on the mirrored plan: both plans are live.
+  ASSERT_GE(live.size(), 2u);
+  EXPECT_EQ((*query)->CurrentPlan(), live.front().plan);
+  uint64_t engines = 0;
+  for (const PlanProfile& plan : live) engines += plan.engines;
+  EXPECT_EQ(engines, 8u);
 
-  const StatsCatalog defaults(p->num_classes(),
-                              static_cast<double>(p->window));
-  const StatsCatalog merged = engine->StatsSnapshot(defaults);
-  EXPECT_GT(merged.rate(1), merged.rate(0) * 4);
-}
-
-TEST(MergeStatsCatalogs, RatesSumAndSelectivitiesAverage) {
-  StatsCatalog a(2, 100.0), b(2, 100.0);
-  a.set_rate(0, 1.0);
-  a.set_rate(1, 3.0);
-  b.set_rate(0, 2.0);
-  b.set_rate(1, 5.0);
-  a.SetPairSel(0, 1, 0.2);
-  b.SetPairSel(0, 1, 0.6);
-  // Weights 1:3 -> selectivity 0.2*0.25 + 0.6*0.75 = 0.5; rates sum.
-  const StatsCatalog merged = MergeStatsCatalogs({a, b}, {1.0, 3.0});
-  EXPECT_DOUBLE_EQ(merged.rate(0), 3.0);
-  EXPECT_DOUBLE_EQ(merged.rate(1), 8.0);
-  EXPECT_DOUBLE_EQ(merged.PairSel(0, 1), 0.5);
-  EXPECT_DOUBLE_EQ(merged.window(), 100.0);
+  // Each leaf is offered every event of its partition, so per class the
+  // leaf rows' in= counts add up to the whole stream across all trees.
+  const std::string text = (*query)->ExplainAnalyze();
+  for (const std::string leaf : {"LEAF A in=", "LEAF B in=", "LEAF C in="}) {
+    uint64_t offered = 0;
+    for (size_t at = text.find(leaf); at != std::string::npos;
+         at = text.find(leaf, at + 1)) {
+      offered += std::stoull(text.substr(at + leaf.size()));
+    }
+    EXPECT_EQ(offered, events.size()) << leaf << "\n" << text;
+  }
 }
 
 // PushBatch routes a span event by event and runs rounds every

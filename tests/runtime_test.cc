@@ -357,24 +357,17 @@ TEST(StreamRuntime, BackpressureBlockLosesNothing) {
             64u);
 }
 
-TEST(StreamRuntime, MergedStatsReplanPreservesMatchSet) {
-  // C-rare workload where the initial left-deep plan is the wrong shape;
-  // merged windowed stats must trigger a switch without losing or
-  // duplicating matches (Section 5.3 under concurrency).
-  StockGenOptions gen;
-  gen.names = {"A", "B", "C"};
-  gen.weights = {50.0, 50.0, 1.0};
-  gen.num_events = 8000;
-  gen.seed = 17;
-  const auto events = GenerateStockTrades(gen);
-
-  const PatternPtr p = MustAnalyze(
-      "PATTERN A;B;C WHERE A.name='A' AND B.name='B' AND C.name='C' "
-      "WITHIN 30");
+TEST(StreamRuntime, KeyedAdaptiveQueryKeepsMatchSetExact) {
+  // Class rates flip in every key, so each shard's partitions re-plan
+  // on their own statistics; the switches must neither lose nor
+  // duplicate a match (Section 5.3 under concurrency).
+  const PatternPtr p = MustAnalyze(kKeyedPhaseQuery);
+  ASSERT_TRUE(p->partition.has_value());
+  const auto events = PhaseShiftStream(4000, 8);
   const PhysicalPlan initial = LeftDeepPlan(*p);
   std::vector<std::string> expected;
   {
-    auto engine = Engine::Create(p, initial);
+    auto engine = PartitionedEngine::Create(p, initial);
     ASSERT_TRUE(engine.ok());
     (*engine)->SetMatchCallback([&](Match&& m) {
       expected.push_back(runtime::CanonicalMatchKey(m));
@@ -392,29 +385,76 @@ TEST(StreamRuntime, MergedStatsReplanPreservesMatchSet) {
   auto stream = (*rt)->AddStream("stock", StockSchema());
   ASSERT_TRUE(stream.ok());
 
+  obs::Counter* switches = obs::Registry::Default().GetCounter(
+      "zstream_replan_switches_total", {});
+  const uint64_t switches_before = switches->value();
   CollectingMatchSink sink;
   QueryOptions qopts;
   qopts.sink = &sink;
-  qopts.enable_replan = true;
-  qopts.replan.drift_threshold = 0.4;
-  qopts.replan.improvement_threshold = 0.05;
-  auto id = (*rt)->RegisterQuery(*stream, p, initial, {}, qopts);
+  auto id = (*rt)->RegisterQuery(*stream, p, initial,
+                                 PhaseShiftAdaptiveOptions(), qopts);
   ASSERT_TRUE(id.ok()) << id.status();
-
-  // First half, then a merged replan, then the rest.
-  const size_t half = events.size() / 2;
-  for (size_t i = 0; i < half; ++i) {
-    ASSERT_TRUE((*rt)->Ingest(*stream, events[i]));
-  }
-  ASSERT_TRUE((*rt)->Flush().ok());
-  auto switched = (*rt)->ReplanQuery(*id);
-  ASSERT_TRUE(switched.ok()) << switched.status();
-  EXPECT_TRUE(*switched);  // the skew must beat the uniform defaults
-  for (size_t i = half; i < events.size(); ++i) {
-    ASSERT_TRUE((*rt)->Ingest(*stream, events[i]));
-  }
+  EXPECT_EQ((*rt)->IngestBatch(*stream, events), 0u);
   ASSERT_TRUE((*rt)->Flush().ok());
   EXPECT_EQ(sink.SortedKeys(), expected);
+  EXPECT_GT(switches->value(), switches_before);
+}
+
+/// Rebuilds a plan's Explain shape ("[A ; [B ; C]]") from the indented
+/// SEQ/LEAF rows of an EXPLAIN ANALYZE tree, starting at rows[*at].
+std::string ShapeOfRows(const std::vector<std::string>& rows, size_t* at) {
+  const std::string& row = rows[(*at)++];
+  const std::string label = row.substr(row.find_first_not_of(' '));
+  if (label.starts_with("LEAF ")) {
+    return label.substr(5, label.find(" in=") - 5);
+  }
+  const std::string left = ShapeOfRows(rows, at);
+  const std::string right = ShapeOfRows(rows, at);
+  return "[" + left + " ; " + right + "]";
+}
+
+// Regression: the runtime's header and cost gauge named the registered
+// plan after a keyless adaptive engine had switched away from it.
+TEST(StreamRuntime, AdaptiveQueryExplainNamesTheLivePlan) {
+  const PatternPtr p = MustAnalyze(
+      "PATTERN A;B;C WHERE A.volume = 1 AND B.volume = 2 AND C.volume = 3 "
+      "WITHIN 30");
+  ASSERT_FALSE(p->partition.has_value());
+  const PhysicalPlan initial = LeftDeepPlan(*p);
+  auto rt = StreamRuntime::Create();
+  ASSERT_TRUE(rt.ok());
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  ASSERT_TRUE(stream.ok());
+  auto id = (*rt)->RegisterQuery(*stream, p, initial,
+                                 PhaseShiftAdaptiveOptions());
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ((*rt)->IngestBatch(*stream, PhaseShiftStream(4000, 1)), 0u);
+  ASSERT_TRUE((*rt)->Flush().ok());
+
+  (*rt)->UpdateMetrics();
+  obs::Gauge* cost = (*rt)->metrics_registry().GetGauge(
+      "zstream_query_plan_cost_estimate", {{"query", "q" + std::to_string(*id)}});
+  const int64_t registered_cost = cost->value();
+  EXPECT_EQ(registered_cost, static_cast<int64_t>(initial.estimated_cost));
+
+  auto rendered = (*rt)->ExplainAnalyze(*id);
+  ASSERT_TRUE(rendered.ok()) << rendered.status();
+  std::vector<std::string> rows;
+  std::istringstream lines(*rendered);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(" in=") != std::string::npos) rows.push_back(line);
+  }
+  ASSERT_FALSE(rows.empty()) << *rendered;
+  size_t at = 0;
+  const std::string tree = ShapeOfRows(rows, &at);
+  EXPECT_EQ(at, rows.size()) << "one live plan, one tree:\n" << *rendered;
+  // C turned rare last: the engine left the registered left-deep plan.
+  EXPECT_EQ(tree, "[A ; [B ; C]]") << *rendered;
+  EXPECT_NE(rendered->find(" plan=" + tree + " "), std::string::npos)
+      << *rendered;
+
+  (*rt)->UpdateMetrics();
+  EXPECT_NE(cost->value(), registered_cost);
 }
 
 TEST(StreamRuntime, StartRuntimeFacade) {
@@ -560,11 +600,6 @@ TEST(StreamRuntime, ErrorsAreReported) {
   auto bad = (*rt)->RegisterQuery(
       *stream, "PATTERN A;B WHERE A.price < B.price WITHIN 10", {}, qopts);
   EXPECT_FALSE(bad.ok());
-  // Replan on a query registered without enable_replan.
-  auto id = (*rt)->RegisterQuery(
-      *stream, "PATTERN A;B WHERE A.name = B.name WITHIN 10");
-  ASSERT_TRUE(id.ok());
-  EXPECT_TRUE((*rt)->ReplanQuery(*id).status().IsFailedPrecondition());
 }
 
 TEST(StreamRuntime, ReorderSlackRestoresOrderAtIngest) {

@@ -108,6 +108,47 @@ inline std::vector<std::string> RunPlan(const PatternPtr& pattern,
   return keys;
 }
 
+/// A;B;C joined on the stock name (so the analyzer partitions it), each
+/// class selected by its volume: paired with PhaseShiftStream, every
+/// partition sees the class rates flip.
+inline constexpr char kKeyedPhaseQuery[] =
+    "PATTERN A;B;C WHERE A.name = B.name AND B.name = C.name "
+    "AND A.volume = 1 AND B.volume = 2 AND C.volume = 3 WITHIN 30";
+
+/// Adaptive settings that switch plans on PhaseShiftStream's phases.
+inline EngineOptions PhaseShiftAdaptiveOptions() {
+  EngineOptions options;
+  options.adaptive = true;
+  options.adaptive_options.drift_threshold = 0.4;
+  options.adaptive_options.improvement_threshold = 0.05;
+  options.adaptive_options.check_every_rounds = 4;
+  return options;
+}
+
+/// Three phases of `per_phase` events over names K0..K<num_keys - 1>:
+/// class A (volume 1) rare, then uniform, then class C (volume 3) rare —
+/// the left-deep plan is right for the first phase, right-deep for the
+/// last. Odd keys see the phases mirrored (A and C swap volumes), so
+/// their partitions end on the other plan.
+inline std::vector<EventPtr> PhaseShiftStream(int per_phase, int num_keys) {
+  std::vector<EventPtr> events;
+  Random rng(99);
+  Timestamp ts = 0;
+  const double phases[3][3] = {{1, 50, 50}, {1, 1, 1}, {50, 50, 1}};
+  for (const auto& w : phases) {
+    for (int i = 0; i < per_phase; ++i) {
+      const uint64_t key = rng.Uniform(static_cast<uint64_t>(num_keys));
+      const double pick = rng.NextDouble() * (w[0] + w[1] + w[2]);
+      int64_t volume = pick < w[0] ? 1 : (pick < w[0] + w[1] ? 2 : 3);
+      if (key % 2 == 1) volume = 4 - volume;
+      std::string name = "K";
+      name += std::to_string(key);
+      events.push_back(Stock(name, 10.0, ++ts, volume));
+    }
+  }
+  return events;
+}
+
 /// Refreshes `rt`'s metrics registry (StreamRuntime::UpdateMetrics, the
 /// step every scrape takes) and reads one runtime family from it. A
 /// `zstream_shard_*` family sums its per-shard series, or reads only
