@@ -48,19 +48,6 @@ for b in $BENCHES; do
   ZS_BENCH_JSON="$scratch/$b.jsonl" "$BIN_DIR/$b"
 done
 
-# Observability overhead A/B: bench_obs_overhead labels its series by
-# build flavor ("instrumented" vs "stripped"), so when a
-# -DZSTREAM_OBS_STRIP=ON tree is present (default: build-obs-strip,
-# override with STRIP_BUILD_DIR) run its copy too — the merged baseline
-# then carries both sides of the comparison.
-STRIP_BUILD_DIR=${STRIP_BUILD_DIR:-build-obs-strip}
-if [[ " $BENCHES " == *" bench_obs_overhead "* &&
-      -x "$STRIP_BUILD_DIR/bin/bench_obs_overhead" ]]; then
-  echo "== running bench_obs_overhead (stripped build) =="
-  ZS_BENCH_JSON="$scratch/zz_bench_obs_overhead_stripped.jsonl" \
-    "$STRIP_BUILD_DIR/bin/bench_obs_overhead"
-fi
-
 shopt -s nullglob
 jsonl_files=("$scratch"/*.jsonl)
 if [[ ${#jsonl_files[@]} -eq 0 ]]; then

@@ -25,9 +25,7 @@ Engine::Engine(PatternPtr pattern, const EngineOptions& options,
   // Hash-equality routing must avoid classes that may be unbound in a
   // record (see BuildNode).
   optional_class_ = pattern_->OptionalClasses();
-#ifndef ZSTREAM_OBS_STRIPPED
   profiling_ = options_.profile || options_.slow_event_ns > 0;
-#endif
 }
 
 Engine::~Engine() = default;
@@ -404,10 +402,8 @@ ZS_HOT void Engine::PushBatch(const EventBatch& batch) {
   // plus the assembly round that boundary triggers.
   size_t i = 0;
   while (i < batch.count) {
-#ifndef ZSTREAM_OBS_STRIPPED
     const bool timed = options_.slow_event_ns > 0;
     const uint64_t t0 = timed ? obs::MonotonicNanos() : 0;
-#endif
     const size_t room =
         static_cast<size_t>(options_.batch_size - pending_in_batch_);
     const size_t take = std::min(batch.count - i, room);
@@ -415,14 +411,12 @@ ZS_HOT void Engine::PushBatch(const EventBatch& batch) {
     pending_in_batch_ += static_cast<int>(take);
     i += take;
     if (pending_in_batch_ >= options_.batch_size) AssemblyRound();
-#ifndef ZSTREAM_OBS_STRIPPED
     if (timed) {
       const uint64_t elapsed = obs::MonotonicNanos() - t0;
       if (elapsed >= static_cast<uint64_t>(options_.slow_event_ns)) {
         LogSlowEvent(elapsed);
       }
     }
-#endif
   }
 }
 
@@ -454,7 +448,6 @@ ZS_HOT void Engine::AssemblyRound() {
     leaf->set_horizon(horizon);
     leaf->output()->PurgeBefore(eat);
   }
-#ifndef ZSTREAM_OBS_STRIPPED
   // The timed loop runs for profiling (EXPLAIN ANALYZE / slow-event
   // attribution) and for traced rounds; `add_eval_ns` stays gated on
   // profiling_ alone so tracing never perturbs the `time=` column.
@@ -480,12 +473,6 @@ ZS_HOT void Engine::AssemblyRound() {
       op->Assemble(eat);
     }
   }
-#else
-  for (OperatorNode* op : assembly_order_) {
-    op->set_horizon(horizon);
-    op->Assemble(eat);
-  }
-#endif
   DrainRoot(eat);
   ++assembly_rounds_;
   if (rebuild_round_pending_) rebuild_round_pending_ = false;

@@ -164,16 +164,12 @@ ZS_HOT void LeafNode::Admit(const EventPtr& event) {
 
 ZS_HOT void LeafNode::Accept(const EventPtr& event) {
   output_.AppendEvent(class_idx_, event);
-#ifndef ZSTREAM_OBS_STRIPPED
   ++records_emitted_;
-#endif
   if (stats_ != nullptr) stats_->OnClassAdmit(class_idx_);
 }
 
 ZS_HOT void LeafNode::OfferBatch(const EventPtr* events, int n) {
-#ifndef ZSTREAM_OBS_STRIPPED
   offered_ += static_cast<uint64_t>(n);
-#endif
   if (!batchable_) {
     for (int i = 0; i < n; ++i) Admit(events[i]);
     return;

@@ -200,7 +200,6 @@ Status Server::BindCatalog(const runtime::RuntimeOptions& runtime_options) {
   for (const std::string& name : session_->catalog().StreamNames()) {
     SchemaPtr schema = *session_->catalog().stream(name);
     ZS_RETURN_IF_ERROR(runtime_->AddStream(name, schema).status());
-    runtime_streams_[name] = std::move(schema);
   }
   // Share the session: queries already registered in the catalog are
   // served too (their in-session engines stay idle; the runtime engines
@@ -212,23 +211,31 @@ Status Server::BindCatalog(const runtime::RuntimeOptions& runtime_options) {
 }
 
 Status Server::RegisterOnRuntime(const std::string& query_name) {
+  // The session already analyzed and planned the query; the runtime's
+  // shard engines run that pattern and plan.
   ZS_ASSIGN_OR_RETURN(QueryInfo info,
                       session_->catalog().query(query_name));
-  ZS_ASSIGN_OR_RETURN(SchemaPtr schema,
-                      session_->catalog().stream(info.stream));
+  ZS_ASSIGN_OR_RETURN(Query* compiled, session_->query(query_name));
+  ZS_ASSIGN_OR_RETURN(runtime::StreamId stream, runtime_->stream(info.stream));
+  ZS_ASSIGN_OR_RETURN(SchemaPtr schema, runtime_->schema(stream));
   runtime::QueryOptions qopts;
   qopts.sink = &sink_;
   // Label the runtime engines with the catalog name so metrics series
   // and EXPLAIN ANALYZE report "rally", not the runtime's "q<id>".
-  CompileOptions copts;
-  copts.engine.label = query_name;
+  EngineOptions engine;
+  engine.label = query_name;
   ZS_ASSIGN_OR_RETURN(runtime::QueryId id,
-                      runtime_->RegisterQuery(info.stream, info.text,
-                                              copts, qopts));
-  queries_[query_name] = QueryEntry{id, info.stream, std::move(schema)};
-  query_names_[id] = query_name;
-  query_order_.push_back(query_name);
+                      runtime_->RegisterQuery(stream, info.pattern,
+                                              compiled->plan(), engine,
+                                              qopts));
+  served_[id] = ServedQuery{query_name, info.stream, std::move(schema)};
   return Status::OK();
+}
+
+Server::ServedMap::iterator Server::FindServed(const std::string& name) {
+  return std::find_if(served_.begin(), served_.end(), [&](const auto& e) {
+    return e.second.name == name;
+  });
 }
 
 Status Server::Start() {
@@ -471,15 +478,15 @@ void Server::HandleDdl(Connection* conn, const std::string& text) {
     case DdlKind::kCreateStream: {
       auto schema = session_->catalog().stream(result->name);
       if (schema.ok()) {
-        auto bound = runtime_streams_.find(result->name);
-        if (bound == runtime_streams_.end()) {
+        const auto bound = runtime_->stream(result->name);
+        if (!bound.ok()) {
           post = runtime_->AddStream(result->name, *schema).status();
-          if (post.ok()) runtime_streams_[result->name] = *schema;
-        } else if (!SchemasEqual(*bound->second, **schema)) {
+        } else if (!SchemasEqual(**runtime_->schema(*bound), **schema)) {
           // The runtime keeps stream bindings for the life of the
-          // server; a dropped stream can only be recreated with the
-          // identical schema — anything else would decode events
-          // against one layout and evaluate them against another.
+          // server (it has no stream removal); a dropped stream can
+          // only be recreated with the identical schema — anything
+          // else would decode events against one layout and evaluate
+          // them against another.
           post = Status::InvalidArgument(
                      "stream '" + result->name +
                      "' was previously served with a different schema; "
@@ -510,9 +517,9 @@ void Server::HandleDdl(Connection* conn, const std::string& text) {
       // The session's compiled engine never sees served traffic — the
       // runtime's per-shard engines do. Replace the session's (empty)
       // profile with the live merged one when the query is served.
-      auto it = queries_.find(result->name);
-      if (it != queries_.end()) {
-        auto profile = runtime_->ExplainAnalyze(it->second.id);
+      auto it = FindServed(result->name);
+      if (it != served_.end()) {
+        auto profile = runtime_->ExplainAnalyze(it->first);
         if (!profile.ok()) {
           post = profile.status();
         } else {
@@ -522,19 +529,15 @@ void Server::HandleDdl(Connection* conn, const std::string& text) {
       break;
     }
     case DdlKind::kDropQuery: {
-      auto it = queries_.find(result->name);
-      if (it != queries_.end()) {
-        (void)runtime_->UnregisterQuery(it->second.id);
-        query_names_.erase(it->second.id);
-        query_order_.erase(std::remove(query_order_.begin(),
-                                       query_order_.end(), result->name),
-                           query_order_.end());
+      auto it = FindServed(result->name);
+      if (it != served_.end()) {
+        (void)runtime_->UnregisterQuery(it->first);
         for (auto& [fd, c] : connections_) {
           auto& subs = c->subscriptions;
           subs.erase(std::remove(subs.begin(), subs.end(), result->name),
                      subs.end());
         }
-        queries_.erase(it);
+        served_.erase(it);
       }
       break;
     }
@@ -623,8 +626,8 @@ void Server::HandleSubscribe(Connection* conn, const std::string& payload) {
     SendError(conn, name.status());
     return;
   }
-  auto it = queries_.find(*name);
-  if (it == queries_.end()) {
+  auto it = FindServed(*name);
+  if (it == served_.end()) {
     SendError(conn, Status::NotFound("no query named '" + *name + "'")
                         .WithErrorCode(errc::kCatalogUnknownQuery));
     return;
@@ -645,7 +648,7 @@ void Server::HandleUnsubscribe(Connection* conn,
     SendError(conn, name.status());
     return;
   }
-  if (queries_.find(*name) == queries_.end()) {
+  if (FindServed(*name) == served_.end()) {
     SendError(conn, Status::NotFound("no query named '" + *name + "'")
                         .WithErrorCode(errc::kCatalogUnknownQuery));
     return;
@@ -688,11 +691,9 @@ void Server::HandleFlush(Connection* conn) {
   // the kFlush has been published; deliver them before the ack.
   DrainMatches();
   FlushAck ack;
-  for (const std::string& name : query_order_) {
-    const auto it = queries_.find(name);
-    if (it == queries_.end()) continue;
-    ack.queries.emplace_back(
-        name, runtime_->query_matches(it->second.id).ValueOr(0));
+  for (const auto& [id, query] : served_) {
+    ack.queries.emplace_back(query.name,
+                             runtime_->query_matches(id).ValueOr(0));
   }
   std::string payload;
   AppendFlushAck(&payload, ack);
@@ -718,22 +719,23 @@ void Server::DrainMatches() {
   // send() per subscriber per drain, not per match.
   std::string payload;
   for (const runtime::OwnedRuntimeMatch& m : pending) {
-    const auto name_it = query_names_.find(m.query);
-    if (name_it == query_names_.end()) continue;  // dropped query
+    const auto served = served_.find(m.query);
+    if (served == served_.end()) continue;  // dropped query
+    const std::string& name = served->second.name;
     payload.clear();
-    AppendMatch(&payload, name_it->second, m.match, m.trace_id);
+    AppendMatch(&payload, name, m.match, m.trace_id);
     const uint64_t fanout_t0 =
         m.trace_id != 0 ? obs::MonotonicNanos() : 0;
     uint64_t fanned = 0;
     for (auto& [fd, conn] : connections_) {
-      if (conn->closing || !conn->SubscribedTo(name_it->second)) continue;
+      if (conn->closing || !conn->SubscribedTo(name)) continue;
       Queue(conn.get(), MsgType::kMatch, 0, payload);
       ++fanned;
       matches_fanned_out_.fetch_add(1, std::memory_order_relaxed);
     }
     if (m.trace_id != 0) {
       obs::TraceRecord(0, obs::SpanKind::kFanout, m.trace_id, fanout_t0,
-                       obs::MonotonicNanos(), name_it->second.c_str(),
+                       obs::MonotonicNanos(), name.c_str(),
                        fanned);
     }
   }

@@ -3,7 +3,7 @@
 //
 //   clients --TCP--> poll loop --DDL--> ZStream session (catalog)
 //                        |       \----> StreamRuntime registration
-//                        |--event batches--> StreamRuntime::Ingest
+//                        |--event batches--> StreamRuntime::IngestBatch
 //                        |<-- match fanout -- shard workers (MatchSink)
 //
 // One poll-loop thread owns every connection (non-blocking sockets,
@@ -122,18 +122,22 @@ class Server {
     std::vector<runtime::OwnedRuntimeMatch> pending_ ZS_GUARDED_BY(mu_);
   };
 
-  /// Runtime-side registration of one served query.
-  struct QueryEntry {
-    runtime::QueryId id = 0;
+  /// One served query: its catalog name, stream and the stream's schema.
+  struct ServedQuery {
+    std::string name;
     std::string stream;
     SchemaPtr schema;
   };
+  using ServedMap = std::map<runtime::QueryId, ServedQuery>;
 
   Server(ZStream* session, const ServerOptions& options);
 
   Status Listen();
   Status BindCatalog(const runtime::RuntimeOptions& runtime_options);
+  /// Serves the session's compiled query `query_name` on the runtime.
   Status RegisterOnRuntime(const std::string& query_name);
+  /// The served query named `name`, or served_.end().
+  ServedMap::iterator FindServed(const std::string& name);
 
   void PollLoop();
   void AcceptPending();
@@ -187,15 +191,9 @@ class Server {
   /// Poll-thread-owned state (no locks: one thread).
   std::map<int, std::unique_ptr<Connection>> connections_;
   std::map<int, std::unique_ptr<HttpConnection>> http_connections_;
-  /// Streams bound on the runtime, by name. The runtime keeps a stream
-  /// binding for the life of the server (it has no stream removal), so
-  /// after DROP STREAM a re-CREATE must carry the identical schema —
-  /// this map is how the server enforces that instead of letting
-  /// catalog and runtime diverge.
-  std::map<std::string, SchemaPtr> runtime_streams_;
-  std::map<std::string, QueryEntry> queries_;
-  std::map<runtime::QueryId, std::string> query_names_;
-  std::vector<std::string> query_order_;
+  /// Served queries by runtime id. Ids rise with each registration, so
+  /// map order is creation order (the kFlushAck order).
+  ServedMap served_;
   uint64_t next_connection_id_ = 1;
 
   std::thread thread_;

@@ -14,10 +14,6 @@
 //     this is a deliberate best-effort last gasp on a path that is
 //     about to crash anyway — the handler re-raises the default
 //     disposition afterwards so the crash still reports normally.
-//
-// Under ZSTREAM_OBS_STRIPPED the recorder still compiles and dumps
-// (the document is just empty of spans), matching the tracer's strip
-// contract: hot paths carry no instrumentation, cold tooling survives.
 #ifndef ZSTREAM_OBS_FLIGHT_RECORDER_H_
 #define ZSTREAM_OBS_FLIGHT_RECORDER_H_
 

@@ -14,10 +14,6 @@
 // Quantiles interpolate within the winning bucket, so p99 error is
 // bounded by the bucket's width (a factor of 2 worst case) — adequate
 // for latency triage, cheap enough for the ingest path.
-//
-// Building with -DZSTREAM_OBS_STRIPPED removes the per-node engine
-// instrumentation hooks (see exec/) for the overhead A/B in
-// bench_obs_overhead; the registry itself stays available.
 #ifndef ZSTREAM_OBS_METRICS_H_
 #define ZSTREAM_OBS_METRICS_H_
 

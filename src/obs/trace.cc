@@ -73,12 +73,10 @@ const char* SpanKindName(SpanKind kind) {
   return "unknown";
 }
 
-#ifndef ZSTREAM_OBS_STRIPPED
 namespace trace_internal {
 thread_local constinit uint64_t tls_trace_id = 0;
 thread_local constinit uint32_t tls_lane = 0;
 }  // namespace trace_internal
-#endif
 
 Tracer& Tracer::Global() {
   static Tracer* tracer = [] {

@@ -27,11 +27,7 @@
 //
 // Propagation uses two thread-locals (current trace id + current lane)
 // set by the shard worker around each dispatched event, so the engine
-// and NFA interfaces stay untouched. Under -DZSTREAM_OBS_STRIPPED the
-// helpers below compile to constant no-ops and every call site folds
-// away; the Tracer object itself stays linkable (it just never records)
-// so tools and the server build unchanged, mirroring the metrics
-// registry's strip contract.
+// and NFA interfaces stay untouched.
 #ifndef ZSTREAM_OBS_TRACE_H_
 #define ZSTREAM_OBS_TRACE_H_
 
@@ -231,10 +227,8 @@ class Tracer {
 
 // ---------------------------------------------------------------------------
 // Hot-path helpers + thread-local trace propagation. These are the only
-// symbols instrumented code calls directly; under ZSTREAM_OBS_STRIPPED
-// they are constant no-ops and the instrumentation folds away.
+// symbols instrumented code calls directly.
 // ---------------------------------------------------------------------------
-#ifndef ZSTREAM_OBS_STRIPPED
 
 namespace trace_internal {
 // constinit lets the compiler access the TLS slots directly instead of
@@ -269,19 +263,6 @@ ZS_HOT inline void TraceRecord(uint32_t lane, SpanKind kind,
 }
 
 inline bool TraceEnabled() { return Tracer::Global().enabled(); }
-
-#else  // ZSTREAM_OBS_STRIPPED
-
-inline constexpr uint64_t CurrentTraceId() { return 0; }
-inline void SetCurrentTrace(uint64_t) {}
-inline constexpr uint32_t CurrentLane() { return 0; }
-inline void SetCurrentLane(uint32_t) {}
-inline uint64_t TraceSampleBatch() { return 0; }
-inline void TraceRecord(uint32_t, SpanKind, uint64_t, uint64_t, uint64_t,
-                        const char*, uint64_t = 0) {}
-inline constexpr bool TraceEnabled() { return false; }
-
-#endif  // ZSTREAM_OBS_STRIPPED
 
 /// FNV-1a 64-bit — the plan fingerprint hash (engine Build hashes the
 /// plan's Explain rendering; EXPLAIN TRACE and kPlanSwitch spans carry

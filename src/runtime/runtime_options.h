@@ -18,13 +18,6 @@ enum class BackpressurePolicy : char {
   kDropNewest,  // Ingest drops the event for that shard and counts it
 };
 
-enum class RoutePolicy : char {
-  kAuto,       // kHashKey when the pattern has a partition key, else kPinned
-  kHashKey,    // hash(partition key) % num_shards (requires a key)
-  kPinned,     // whole query on one shard, assigned round-robin
-  kBroadcast,  // every shard runs the full query over every event
-};
-
 struct RuntimeOptions {
   /// Worker shards; <= 0 means std::thread::hardware_concurrency().
   int num_shards = 4;

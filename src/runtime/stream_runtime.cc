@@ -70,14 +70,11 @@ struct StreamRuntime::ProfileCtx {
 struct StreamRuntime::QueryState {
   QueryId id = 0;
   StreamId stream = -1;
-  std::string text;
   PatternPtr pattern;
   /// The registered plan; engines adapt away from it on their own.
   PhysicalPlan plan;
-  RoutePolicy route = RoutePolicy::kPinned;
-  int key_field = -1;
-  int pinned_shard = 0;
-  int num_shards = 1;
+  int key_field = -1;  // the pattern's partition key field; -1: keyless
+  int pinned_shard = 0;  // a keyless query's one shard
   MatchSink* sink = nullptr;
   std::atomic<uint64_t> matches{0};
   /// Matches counted on each shard since its last PublishMatchTallies;
@@ -101,32 +98,6 @@ struct StreamRuntime::QueryState {
   /// Shared by every shard engine (MemoryTracker is thread-safe).
   std::unique_ptr<MemoryTracker> tracker;
   std::vector<std::unique_ptr<EngineCore>> engines;  // [shard] or null
-
-  /// Worker-side re-filter: several queries can route one event to the
-  /// same shard, so each engine checks that the event is its own. The
-  /// router stamps the key hash it computed into the message
-  /// (hint_field/hint_hash), so the common case — every hash query on
-  /// the stream keyed on the same field — is an integer compare here
-  /// rather than a second Value::Hash.
-  bool AcceptsOn(int shard, const EventPtr& event, int hint_field,
-                 size_t hint_hash) const {
-    switch (route) {
-      case RoutePolicy::kHashKey: {
-        const size_t hash = hint_field == key_field
-                                ? hint_hash
-                                : event->value(key_field).Hash();
-        return static_cast<int>(hash % static_cast<size_t>(num_shards)) ==
-               shard;
-      }
-      case RoutePolicy::kPinned:
-        return shard == pinned_shard;
-      case RoutePolicy::kBroadcast:
-        return true;
-      case RoutePolicy::kAuto:
-        break;  // resolved at registration
-    }
-    return false;
-  }
 };
 
 struct StreamRuntime::ShardMsg {
@@ -149,10 +120,8 @@ struct StreamRuntime::ShardMsg {
   /// to (obs/trace.h); 0 = untraced. The shard worker sets it as the
   /// thread's current trace around dispatch.
   uint64_t trace_id = 0;
-  /// Router-computed key hash for kEvent (see QueryState::AcceptsOn);
-  /// field -1 when no hash route was evaluated.
-  int key_hint_field = -1;
-  size_t key_hint_hash = 0;
+  /// kEvent: the key hash the router computed (see ShardOf).
+  KeyHint key_hint;
   std::shared_ptr<QueryState> query;
   std::shared_ptr<SyncPoint> sync;
   std::shared_ptr<ProfileCtx> profile;
@@ -270,39 +239,43 @@ void StreamRuntime::Stop() {
 // Worker loop
 // ---------------------------------------------------------------------
 
+ZS_HOT int StreamRuntime::ShardOf(int key_field, int pinned_shard,
+                                  const Event& event, KeyHint* hint) const {
+  if (key_field < 0) return pinned_shard;
+  if (hint->field != key_field) {
+    hint->field = key_field;
+    hint->hash = event.value(key_field).Hash();
+  }
+  return static_cast<int>(hint->hash % shards_.size());
+}
+
 ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, StreamId stream,
                                        const std::vector<EventPtr>& events,
                                        const ShardMsg* hints) {
   for (Shard::Entry& entry : shard->entries) {
     const QueryState* q = entry.query;
     if (q->stream != stream) continue;
-    switch (q->route) {
-      case RoutePolicy::kPinned:
-        if (shard->index != q->pinned_shard) continue;
-        break;
-      case RoutePolicy::kBroadcast:
-        break;
-      case RoutePolicy::kHashKey: {
-        // Membership varies per event: filter the span down to this
-        // query's keys, reusing the router's hash hints when present.
-        std::vector<EventPtr>& mine = shard->filter_scratch;
-        mine.clear();
-        for (size_t i = 0; i < events.size(); ++i) {
-          const int field = hints != nullptr ? hints[i].key_hint_field : -1;
-          const size_t hash = hints != nullptr ? hints[i].key_hint_hash : 0;
-          if (q->AcceptsOn(shard->index, events[i], field, hash)) {
-            mine.push_back(events[i]);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
-          }
-        }
-        if (!mine.empty()) {
-          entry.engine->PushBatch(EventBatch{mine.data(), mine.size()});
-        }
-        continue;
-      }
-      case RoutePolicy::kAuto:
-        continue;  // resolved at registration
+    if (q->key_field < 0) {
+      // A keyless query's engine lives only on its pinned shard.
+      entry.engine->PushBatch(EventBatch{events.data(), events.size()});
+      continue;
     }
-    entry.engine->PushBatch(EventBatch{events.data(), events.size()});
+    // Several queries can route one event to this shard: keep only the
+    // events whose key hashes here, reusing the router's hashes. In the
+    // common case (every keyed query on the stream keyed on one field)
+    // that is an integer compare, not a second Value::Hash.
+    std::vector<EventPtr>& mine = shard->filter_scratch;
+    mine.clear();
+    for (size_t i = 0; i < events.size(); ++i) {
+      KeyHint hint = hints != nullptr ? hints[i].key_hint : KeyHint{};
+      if (ShardOf(q->key_field, q->pinned_shard, *events[i], &hint) ==
+          shard->index) {
+        mine.push_back(events[i]);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
+      }
+    }
+    if (!mine.empty()) {
+      entry.engine->PushBatch(EventBatch{mine.data(), mine.size()});
+    }
   }
 }
 
@@ -375,7 +348,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
           span.clear();
           if (reordering) {
             // Released events lose their router key hints: they may mix
-            // runs, so hash-routed queries re-hash them in AcceptsOn.
+            // runs, so keyed queries re-hash them in DispatchRun.
             ReorderStage& stage =
                 shard->reorder.try_emplace(msg.stream, options_.reorder_slack)
                     .first->second;
@@ -501,113 +474,58 @@ std::vector<std::string> StreamRuntime::StreamNames() const {
   return names;
 }
 
-ZS_HOT uint64_t StreamRuntime::TargetMask(const RouteEntry& entry,
-                                          const EventPtr& event,
-                                          int* hint_field,
-                                          size_t* hint_hash) const {
-  switch (entry.route) {
-    case RoutePolicy::kHashKey: {
-      const size_t hash = *hint_field == entry.key_field
-                              ? *hint_hash
-                              : event->value(entry.key_field).Hash();
-      *hint_field = entry.key_field;
-      *hint_hash = hash;
-      return 1ULL << (hash % shards_.size());
-    }
-    case RoutePolicy::kPinned:
-      return 1ULL << entry.pinned_shard;
-    case RoutePolicy::kBroadcast:
-      return shards_.size() >= 64 ? ~0ULL
-                                  : (1ULL << shards_.size()) - 1;
-    case RoutePolicy::kAuto:
-      break;  // resolved at registration
+Result<SchemaPtr> StreamRuntime::schema(StreamId stream) const {
+  zs::ReaderMutexLock lock(route_mu_);
+  if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
+    return Status::NotFound("unknown stream id");
   }
-  return 0;
+  return streams_[static_cast<size_t>(stream)].schema;
 }
 
 // ---------------------------------------------------------------------
 // Ingest
 // ---------------------------------------------------------------------
 
-ZS_HOT bool StreamRuntime::Ingest(StreamId stream, const EventPtr& event) {
-  // A single-event ingest is its own sampling batch.
-  return Ingest(stream, event, obs::TraceSampleBatch());
+bool StreamRuntime::Ingest(StreamId stream, const EventPtr& event) {
+  return IngestBatch(stream, std::span<const EventPtr>(&event, 1)) == 0;
 }
 
-ZS_HOT bool StreamRuntime::Ingest(StreamId stream, const EventPtr& event,
-                                  uint64_t trace_id) {
-  if (stopped_.load(std::memory_order_relaxed) || event == nullptr) {
-    return false;
-  }
-  uint64_t mask = 0;
-  int hint_field = -1;
-  size_t hint_hash = 0;
-  {
-    zs::ReaderMutexLock lock(route_mu_);
-    if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
-      return false;
-    }
-    for (const RouteEntry& entry : streams_[static_cast<size_t>(stream)]
-                                       .routes) {
-      mask |= TargetMask(entry, event, &hint_field, &hint_hash);
-    }
-  }
-  events_ingested_.fetch_add(1, std::memory_order_relaxed);
-  if (trace_id != 0) {
-    events_traced_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const uint64_t arrival_ns = obs::MonotonicNanos();
-  bool ok = true;
-  for (size_t s = 0; mask != 0; ++s, mask >>= 1) {
-    if ((mask & 1) == 0) continue;
-    ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kEvent;
-    msg.stream = stream;
-    msg.event = event;
-    msg.arrival_ns = arrival_ns;
-    msg.trace_id = trace_id;
-    msg.key_hint_field = hint_field;
-    msg.key_hint_hash = hint_hash;
-    if (options_.backpressure == BackpressurePolicy::kBlock) {
-      ok &= shards_[s]->queue.Push(std::move(msg));
-    } else if (!shards_[s]->queue.TryPush(std::move(msg))) {
-      shards_[s]->dropped.fetch_add(1, std::memory_order_relaxed);
-      ok = false;
-    }
-  }
-  return ok;
-}
-
-bool StreamRuntime::Ingest(const std::string& stream_name,
-                           const EventPtr& event) {
-  const Result<StreamId> id = stream(stream_name);
-  return id.ok() && Ingest(*id, event);
-}
-
-ZS_HOT uint64_t StreamRuntime::IngestBatch(
-    StreamId stream, const std::vector<EventPtr>& events) {
+uint64_t StreamRuntime::IngestBatch(StreamId stream,
+                                    std::span<const EventPtr> events) {
   return IngestBatch(stream, events, obs::TraceSampleBatch());
 }
 
-ZS_HOT uint64_t StreamRuntime::IngestBatch(
-    StreamId stream, const std::vector<EventPtr>& events, uint64_t trace_id) {
+ZS_HOT uint64_t StreamRuntime::IngestBatch(StreamId stream,
+                                           std::span<const EventPtr> events,
+                                           uint64_t trace_id) {
   if (stopped_.load(std::memory_order_relaxed)) return events.size();
   // One stamp per batch: latency for a batch's matches is measured from
   // the batch's enqueue, which is what a producer of that batch observes.
   const uint64_t arrival_ns = obs::MonotonicNanos();
-  std::vector<std::vector<ShardMsg>> per_shard(shards_.size());
+  // Per-thread staging, one message vector per shard: every call leaves
+  // them empty and the next reuses their capacity.
+  thread_local std::vector<std::vector<ShardMsg>> staged;
+  if (staged.size() < shards_.size()) {
+    staged.resize(shards_.size());  // zs-hotpath-allow(once per thread)
+  }
+  uint64_t refused = 0;
   {
     zs::ReaderMutexLock lock(route_mu_);
     if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
       return events.size();
     }
-    const StreamInfo& info = streams_[static_cast<size_t>(stream)];
+    const std::vector<RouteEntry>& routes =
+        streams_[static_cast<size_t>(stream)].routes;
     for (const EventPtr& event : events) {
+      if (event == nullptr) {
+        ++refused;
+        continue;
+      }
       uint64_t mask = 0;
-      int hint_field = -1;
-      size_t hint_hash = 0;
-      for (const RouteEntry& entry : info.routes) {
-        mask |= TargetMask(entry, event, &hint_field, &hint_hash);
+      KeyHint hint;
+      for (const RouteEntry& route : routes) {
+        mask |= 1ULL << ShardOf(route.key_field, route.pinned_shard, *event,
+                                &hint);
       }
       for (size_t s = 0; mask != 0; ++s, mask >>= 1) {
         if ((mask & 1) == 0) continue;
@@ -617,30 +535,32 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(
         msg.event = event;
         msg.arrival_ns = arrival_ns;
         msg.trace_id = trace_id;
-        msg.key_hint_field = hint_field;
-        msg.key_hint_hash = hint_hash;
-        per_shard[s].push_back(std::move(msg));
+        msg.key_hint = hint;
+        staged[s].push_back(std::move(msg));  // zs-hotpath-allow(amortized: staging capacity reused across calls)
       }
     }
   }
-  events_ingested_.fetch_add(events.size(), std::memory_order_relaxed);
+  const uint64_t accepted = events.size() - refused;
+  events_ingested_.fetch_add(accepted, std::memory_order_relaxed);
   if (trace_id != 0) {
-    events_traced_.fetch_add(events.size(), std::memory_order_relaxed);
+    events_traced_.fetch_add(accepted, std::memory_order_relaxed);
   }
-  uint64_t drops = 0;
-  for (size_t s = 0; s < per_shard.size(); ++s) {
-    if (per_shard[s].empty()) continue;
+  uint64_t drops = refused;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    std::vector<ShardMsg>& msgs = staged[s];
+    if (msgs.empty()) continue;
     if (options_.backpressure == BackpressurePolicy::kBlock) {
       // PushAll falls short only when the runtime stopped mid-batch.
-      drops += per_shard[s].size() - shards_[s]->queue.PushAll(&per_shard[s]);
+      drops += msgs.size() - shards_[s]->queue.PushAll(&msgs);
     } else {
-      for (ShardMsg& msg : per_shard[s]) {
+      for (ShardMsg& msg : msgs) {
         if (!shards_[s]->queue.TryPush(std::move(msg))) {
           shards_[s]->dropped.fetch_add(1, std::memory_order_relaxed);
           ++drops;
         }
       }
     }
+    msgs.clear();
   }
   return drops;
 }
@@ -651,7 +571,7 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(
 
 std::vector<int> StreamRuntime::TargetShards(const QueryState& qs) const {
   std::vector<int> out;
-  if (qs.route == RoutePolicy::kPinned) {
+  if (qs.key_field < 0) {
     out.push_back(qs.pinned_shard);
   } else {
     for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
@@ -682,60 +602,20 @@ Result<QueryId> StreamRuntime::RegisterQuery(StreamId stream,
                                              const std::string& text,
                                              const CompileOptions& compile,
                                              const QueryOptions& options) {
-  SchemaPtr schema;
-  {
-    zs::ReaderMutexLock lock(route_mu_);
-    if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
-      return Status::InvalidArgument("unknown stream id");
-    }
-    schema = streams_[static_cast<size_t>(stream)].schema;
-  }
+  ZS_ASSIGN_OR_RETURN(SchemaPtr bound, schema(stream));
   ZS_ASSIGN_OR_RETURN(PatternPtr pattern,
-                      AnalyzeQuery(text, schema, compile.analyzer));
+                      AnalyzeQuery(text, bound, compile.analyzer));
   ZS_ASSIGN_OR_RETURN(PhysicalPlan plan, BuildPlan(pattern, compile));
-  return RegisterCompiled(stream, std::move(pattern), plan, compile.engine,
-                          options, text);
+  return RegisterQuery(stream, std::move(pattern), plan, compile.engine,
+                       options);
 }
 
-Result<QueryId> StreamRuntime::RegisterQuery(const std::string& stream_name,
-                                             const std::string& text,
-                                             const CompileOptions& compile,
-                                             const QueryOptions& options) {
-  ZS_ASSIGN_OR_RETURN(StreamId id, stream(stream_name));
-  return RegisterQuery(id, text, compile, options);
-}
-
-Result<QueryId> StreamRuntime::RegisterQuery(StreamId stream,
-                                             PatternPtr pattern,
-                                             const PhysicalPlan& plan,
-                                             const EngineOptions& engine,
-                                             const QueryOptions& options) {
-  {
-    zs::ReaderMutexLock lock(route_mu_);
-    if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
-      return Status::InvalidArgument("unknown stream id");
-    }
-  }
-  return RegisterCompiled(stream, std::move(pattern), plan, engine, options,
-                          "");
-}
-
-Result<QueryId> StreamRuntime::RegisterCompiled(
+Result<QueryId> StreamRuntime::RegisterQuery(
     StreamId stream, PatternPtr pattern, const PhysicalPlan& plan,
-    const EngineOptions& engine_options, const QueryOptions& options,
-    std::string text) {
+    const EngineOptions& engine_options, const QueryOptions& options) {
+  ZS_RETURN_IF_ERROR(schema(stream).status());
   if (stopped_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("runtime is stopped");
-  }
-  RoutePolicy route = options.route;
-  if (route == RoutePolicy::kAuto) {
-    route = pattern->partition.has_value() ? RoutePolicy::kHashKey
-                                           : RoutePolicy::kPinned;
-  }
-  if (route == RoutePolicy::kHashKey && !pattern->partition.has_value()) {
-    return Status::InvalidArgument(
-        "RoutePolicy::kHashKey requires a pattern with a partition key "
-        "(the analyzer found none)");
   }
 
   // NOTE: control_mu_ is only held for id reservation and the final map
@@ -747,16 +627,13 @@ Result<QueryId> StreamRuntime::RegisterCompiled(
   {
     zs::MutexLock control(control_mu_);
     q->id = next_query_id_++;
-    if (route == RoutePolicy::kPinned) {
+    if (!pattern->partition.has_value()) {
       q->pinned_shard = next_pin_++ % static_cast<int>(shards_.size());
     }
   }
   qs->stream = stream;
-  qs->text = std::move(text);
   qs->pattern = pattern;
   qs->plan = plan;
-  qs->route = route;
-  qs->num_shards = static_cast<int>(shards_.size());
   qs->sink = options.sink;
   qs->tracker = std::make_unique<MemoryTracker>();
   qs->engines.resize(shards_.size());
@@ -821,8 +698,8 @@ Result<QueryId> StreamRuntime::RegisterCompiled(
   // installed the engine yet.
   {
     zs::WriterMutexLock lock(route_mu_);
-    streams_[static_cast<size_t>(stream)].routes.push_back(RouteEntry{
-        qs->id, qs->route, qs->key_field, qs->pinned_shard});
+    streams_[static_cast<size_t>(stream)].routes.push_back(
+        RouteEntry{qs->id, qs->key_field, qs->pinned_shard});
   }
   const QueryId id = qs->id;
   {

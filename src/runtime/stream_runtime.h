@@ -8,14 +8,15 @@
 //                                          MatchSink (thread-safe, ordered)
 //
 // Each of N shards owns one worker thread, one bounded MPSC ring queue
-// and one engine instance per registered query that routes there. Events
-// are routed by partition-key hash (the analyzer's Section 5.2.2 key),
-// so every key's events land on exactly one shard and the sharded match
-// set equals the single-threaded one exactly. Keyless queries are pinned
-// to a single shard (assigned round-robin across queries, so many
-// queries still spread over all cores) or broadcast to every shard on
-// request. Backpressure on full queues is configurable: block the
-// producer, or drop-newest with per-shard drop counters.
+// and one engine instance per registered query that routes there. The
+// route follows the pattern: a query with a partition key (the
+// analyzer's Section 5.2.2 key) gets each event on the shard its key
+// hashes to, so every key's events land on exactly one shard and the
+// sharded match set equals the single-threaded one exactly; a keyless
+// query runs whole on one shard (assigned round-robin across queries,
+// so many queries still spread over all cores). Backpressure on full
+// queues is configurable: block the producer, or drop-newest with
+// per-shard drop counters.
 //
 // Queries register and unregister at runtime; both are barriers (they
 // return once every shard has installed/retired its engine), so events
@@ -30,6 +31,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,7 +47,6 @@ namespace zstream::runtime {
 using StreamId = int;
 
 struct QueryOptions {
-  RoutePolicy route = RoutePolicy::kAuto;
   /// Thread-safe match consumer (not owned; may be null: count only).
   MatchSink* sink = nullptr;
 };
@@ -86,6 +87,9 @@ class StreamRuntime {
   /// Names of the bound streams, in StreamId order.
   std::vector<std::string> StreamNames() const;
 
+  /// The schema the stream was bound with.
+  Result<SchemaPtr> schema(StreamId stream) const;
+
   /// Compiles `text` against the stream's schema (parse -> rewrite ->
   /// analyze -> plan) and instantiates it on its target shards. Returns
   /// once every shard has the engine installed: events ingested after
@@ -94,13 +98,8 @@ class StreamRuntime {
                                 const CompileOptions& compile = {},
                                 const QueryOptions& options = {});
 
-  /// Same, addressing the stream by its catalog name.
-  Result<QueryId> RegisterQuery(const std::string& stream_name,
-                                const std::string& text,
-                                const CompileOptions& compile = {},
-                                const QueryOptions& options = {});
-
-  /// Same, for a pre-analyzed pattern + plan (benchmark path).
+  /// Same, for an already analyzed pattern + plan (a session's compiled
+  /// query, or a benchmark's).
   Result<QueryId> RegisterQuery(StreamId stream, PatternPtr pattern,
                                 const PhysicalPlan& plan,
                                 const EngineOptions& engine = {},
@@ -111,26 +110,23 @@ class StreamRuntime {
   /// `query=` series leave the registry.
   Result<uint64_t> UnregisterQuery(QueryId id);
 
-  /// Routes one event to the shards that need it. Thread-safe (any
-  /// number of producers). Returns false when the runtime is stopped or
-  /// any target shard dropped the event under kDropNewest.
-  bool Ingest(StreamId stream, const EventPtr& event);
+  /// Routes `events` to the shards that need them and enqueues them with
+  /// one queue lock per target shard. Thread-safe (any number of
+  /// producers). Returns the number of (event, shard) deliveries
+  /// dropped; a null event, an unknown stream and a stopped runtime
+  /// count every event they refuse.
+  uint64_t IngestBatch(StreamId stream, std::span<const EventPtr> events);
 
-  /// Routes by stream name (one registry lookup per call — resolve the
-  /// StreamId once via stream() on hot paths).
-  bool Ingest(const std::string& stream_name, const EventPtr& event);
-
-  /// Bulk ingest: routes and enqueues with one queue lock per target
-  /// shard. Returns the number of (event, shard) deliveries dropped.
-  uint64_t IngestBatch(StreamId stream, const std::vector<EventPtr>& events);
-
-  /// Ingest with an externally-minted trace id (obs/trace.h) — the
-  /// server passes the id decoded from the wire so client and server
-  /// spans share one trace; 0 means untraced. The two-argument
-  /// overloads sample locally via the global tracer.
-  bool Ingest(StreamId stream, const EventPtr& event, uint64_t trace_id);
-  uint64_t IngestBatch(StreamId stream, const std::vector<EventPtr>& events,
+  /// Same, with an externally-minted trace id (obs/trace.h) — the server
+  /// passes the id decoded from the wire so client and server spans
+  /// share one trace; 0 means untraced. The overload above samples
+  /// locally via the global tracer.
+  uint64_t IngestBatch(StreamId stream, std::span<const EventPtr> events,
                        uint64_t trace_id);
+
+  /// A batch of one. Returns false when the event was refused or any
+  /// target shard dropped it under kDropNewest.
+  bool Ingest(StreamId stream, const EventPtr& event);
 
   /// Barrier: every event enqueued before this call is processed and
   /// every engine has flushed (Engine::Finish), so match counters and
@@ -191,9 +187,14 @@ class StreamRuntime {
   /// Routing entry snapshot used by Ingest without touching QueryState.
   struct RouteEntry {
     QueryId query = 0;
-    RoutePolicy route = RoutePolicy::kPinned;
-    int key_field = -1;
+    int key_field = -1;  // partition key field; -1 when keyless
     int pinned_shard = 0;
+  };
+  /// A key hash the router already computed for an event, handed to the
+  /// shard worker so it never hashes the same key twice; field -1: none.
+  struct KeyHint {
+    int field = -1;
+    size_t hash = 0;
   };
   struct StreamInfo {
     std::string name;
@@ -204,10 +205,17 @@ class StreamRuntime {
   explicit StreamRuntime(const RuntimeOptions& options);
 
   void WorkerLoop(Shard* shard);
+  /// The one routing rule, used by the router and the shard workers
+  /// alike: the shard an event of a query belongs to. A query with a
+  /// partition key hashes the event's key; a keyless one (key_field -1)
+  /// runs on its pinned shard. Reuses `hint` when it holds this field's
+  /// hash, and leaves the hash there for the next keyed query.
+  int ShardOf(int key_field, int pinned_shard, const Event& event,
+              KeyHint* hint) const;
   /// Offers a timestamp-ordered span of `stream` events to every engine
-  /// on `shard` whose query routes them there, as one EngineCore::
-  /// PushBatch per engine. Hash-routed queries filter the span per event
-  /// first, reusing the router's key hashes from `hints` (parallel to
+  /// on `shard`, as one EngineCore::PushBatch per engine. Keyed queries
+  /// filter the span to the events ShardOf names this shard for,
+  /// reusing the router's key hashes from `hints` (parallel to
   /// `events`) or re-hashing when `hints` is null.
   void DispatchRun(Shard* shard, StreamId stream,
                    const std::vector<EventPtr>& events,
@@ -222,11 +230,6 @@ class StreamRuntime {
   /// into its engines (stream end / flush barrier) and refreshes the
   /// shard's published reorder counters.
   void FlushReorder(Shard* shard, StreamId only);
-  /// Shard bitmask for `entry`; for hash routes also records the key
-  /// hash it computed into *hint_field/*hint_hash so the shard worker
-  /// can reuse it instead of re-hashing.
-  uint64_t TargetMask(const RouteEntry& entry, const EventPtr& event,
-                      int* hint_field, size_t* hint_hash) const;
   /// Sends `msg` to the given shards plus a sync barrier and waits.
   /// Returns false when any queue was already closed (runtime stopping),
   /// i.e. some worker never saw the message. Callers must NOT hold
@@ -234,11 +237,6 @@ class StreamRuntime {
   /// callback, and waiting on it here would deadlock.
   bool SyncShards(const std::vector<int>& shard_indices, ShardMsg&& proto);
   std::vector<int> TargetShards(const QueryState& qs) const;
-  Result<QueryId> RegisterCompiled(StreamId stream, PatternPtr pattern,
-                                   const PhysicalPlan& plan,
-                                   const EngineOptions& engine,
-                                   const QueryOptions& options,
-                                   std::string text);
 
   RuntimeOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

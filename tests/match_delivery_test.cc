@@ -130,10 +130,10 @@ TEST(MatchLifetime, CollectingSinkCopiesOutliveTheRuntime) {
     ASSERT_TRUE(rt.ok()) << rt.status();
     runtime::QueryOptions qopts;
     qopts.sink = &sink;
-    auto id = (*rt)->RegisterQuery("stock", kTieQuery, {}, qopts);
-    ASSERT_TRUE(id.ok()) << id.status();
     auto stream = (*rt)->stream("stock");
     ASSERT_TRUE(stream.ok());
+    auto id = (*rt)->RegisterQuery(*stream, kTieQuery, {}, qopts);
+    ASSERT_TRUE(id.ok()) << id.status();
     for (int64_t i = 0; i < kEvents; i += 100) {
       std::vector<EventPtr> batch;  // dropped after each ingest
       for (int64_t j = i; j < i + 100; ++j) batch.push_back(Tick(j));
@@ -211,10 +211,10 @@ std::vector<std::string> CollectedOrder(int64_t n, int shards) {
   qopts.sink = &sink;
   CompileOptions copts;
   copts.engine.label = "tie";
-  auto id = (*rt)->RegisterQuery("stock", kTieQuery, copts, qopts);
-  EXPECT_TRUE(id.ok()) << id.status();
   auto stream = (*rt)->stream("stock");
   EXPECT_TRUE(stream.ok());
+  auto id = (*rt)->RegisterQuery(*stream, kTieQuery, copts, qopts);
+  EXPECT_TRUE(id.ok()) << id.status();
   std::vector<EventPtr> events;
   for (int64_t i = 0; i < n; ++i) events.push_back(Tick(i));
   EXPECT_EQ((*rt)->IngestBatch(*stream, events), 0u);

@@ -993,5 +993,32 @@ TEST(NetServer, DropQueryStopsServiceAndUnsubscribes) {
   EXPECT_EQ(sub.status().error_code(), errc::kCatalogUnknownQuery);
 }
 
+// A wire CREATE QUERY is analyzed and planned once, by the session; the
+// runtime's engines run the session's pattern and plan. Every plan
+// check lands in the process-wide verification counter: the planner
+// checks once, and each engine build checks again (keyed: 2, the
+// partitioned engine and its probe instance; keyless: 1) — once for
+// the session's engine and once for the one shard's.
+TEST(NetServer, WireCreateQueryPlansOnce) {
+  const auto verifications = [] {
+    return obs::Registry::Default()
+        .GetCounter("zstream_plan_verifications_total")
+        ->value();
+  };
+  ServerFixture fx(/*shards=*/1, {kStockDdl});
+  auto client = fx.Connect();
+
+  uint64_t before = verifications();
+  ASSERT_TRUE(client->Execute(kRallyDdl).ok());
+  EXPECT_EQ(verifications() - before, 5u);
+
+  before = verifications();
+  ASSERT_TRUE(client
+                  ->Execute("CREATE QUERY spread ON stock AS PATTERN A;B "
+                            "WHERE A.price < B.price WITHIN 10")
+                  .ok());
+  EXPECT_EQ(verifications() - before, 3u);
+}
+
 }  // namespace
 }  // namespace zstream::testing

@@ -186,7 +186,6 @@ std::vector<EventPtr> StockWorkload(int n, uint64_t seed) {
   return GenerateStockTrades(options);
 }
 
-#ifndef ZSTREAM_OBS_STRIPPED
 TEST(ExplainAnalyze, EngineCountersReconcileWithEmittedMatches) {
   const PatternPtr p = MustAnalyze(kQuery4);
   const auto events = StockWorkload(5000, 21);
@@ -298,7 +297,6 @@ TEST(ExplainAnalyze, RuntimeCountersReconcileWithCollectingSink) {
   EXPECT_NE(metrics.find("zstream_detection_latency_seconds_count"),
             std::string::npos);
 }
-#endif  // ZSTREAM_OBS_STRIPPED
 
 // ---------------------------------------------------------------------
 // DDL: EXPLAIN / EXPLAIN ANALYZE
@@ -323,11 +321,9 @@ TEST(ExplainDdl, ExplainAliasesShowPlanAndAnalyzeProfiles) {
   ASSERT_TRUE(analyzed.ok()) << analyzed.status();
   EXPECT_NE(analyzed->message.find("query=rally"), std::string::npos)
       << analyzed->message;
-#ifndef ZSTREAM_OBS_STRIPPED
   EXPECT_NE(analyzed->message.find("in=" + std::to_string(events.size())),
             std::string::npos)
       << analyzed->message;
-#endif
 
   auto unknown = session.Execute("EXPLAIN ANALYZE nope");
   EXPECT_FALSE(unknown.ok());

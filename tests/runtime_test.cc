@@ -24,7 +24,6 @@ using runtime::CollectingMatchSink;
 using runtime::MpscRingQueue;
 using runtime::QueryId;
 using runtime::QueryOptions;
-using runtime::RoutePolicy;
 using runtime::RuntimeOptions;
 using runtime::StreamId;
 using runtime::StreamRuntime;
@@ -259,18 +258,17 @@ TEST(StreamRuntime, RegisterUnregisterWhileIngesting) {
     for (const EventPtr& e : events) raw->Ingest(sid, e);
   });
 
-  // Churn secondary queries (one keyless/pinned, one broadcast) while
-  // the producer runs; their counts depend on registration timing, but
-  // the primary query's match set must stay exact and nothing may race.
+  // Churn two keyless (pinned) secondary queries while the producer
+  // runs; their counts depend on registration timing, but the primary
+  // query's match set must stay exact and nothing may race.
   constexpr char kKeyless[] =
       "PATTERN X;Y WHERE X.name = 'SYM0' AND Y.name = 'SYM1' "
       "AND X.price > Y.price WITHIN 20";
   for (int round = 0; round < 5; ++round) {
     auto secondary = (*rt)->RegisterQuery(*stream, kKeyless);
     ASSERT_TRUE(secondary.ok()) << secondary.status();
-    QueryOptions broadcast;
-    broadcast.route = RoutePolicy::kBroadcast;
-    auto tertiary = (*rt)->RegisterQuery(*stream, kKeyless, {}, broadcast);
+    EXPECT_EQ(*(*rt)->query_shard_count(*secondary), 1);
+    auto tertiary = (*rt)->RegisterQuery(*stream, kKeyless);
     ASSERT_TRUE(tertiary.ok());
     auto removed = (*rt)->UnregisterQuery(*secondary);
     ASSERT_TRUE(removed.ok());
@@ -485,8 +483,8 @@ TEST(StreamRuntime, StartRuntimeFacade) {
 }
 
 // The facade binds every catalog stream under its name, queries
-// register per stream (addressable by name), and events route only to
-// their own stream's queries.
+// register per stream, and events route only to their own stream's
+// queries.
 TEST(StreamRuntime, FacadeBindsAllCatalogStreams) {
   ZStream zs;
   ASSERT_TRUE(zs.catalog().CreateStream("stock", StockSchema()).ok());
@@ -498,18 +496,21 @@ TEST(StreamRuntime, FacadeBindsAllCatalogStreams) {
   EXPECT_EQ((*rt)->StreamNames(),
             (std::vector<std::string>{"stock", "weblog"}));
 
+  const auto stock = (*rt)->stream("stock");
+  const auto weblog = (*rt)->stream("weblog");
+  ASSERT_TRUE(stock.ok() && weblog.ok());
+  EXPECT_TRUE((*rt)->stream("nope").status().IsNotFound());
   auto stock_q = (*rt)->RegisterQuery(
-      "stock", "PATTERN A;B WHERE A.price > B.price WITHIN 10");
+      *stock, "PATTERN A;B WHERE A.price > B.price WITHIN 10");
   ASSERT_TRUE(stock_q.ok()) << stock_q.status();
   auto web_q = (*rt)->RegisterQuery(
-      "weblog",
+      *weblog,
       "PATTERN Pub;Course WHERE Pub.category='publication' "
       "AND Course.category='course' AND Pub.ip = Course.ip WITHIN 100");
   ASSERT_TRUE(web_q.ok()) << web_q.status();
-  EXPECT_FALSE((*rt)->RegisterQuery("nope", "PATTERN A;B WITHIN 1").ok());
 
-  ASSERT_TRUE((*rt)->Ingest("stock", Stock("IBM", 100, 1)));
-  ASSERT_TRUE((*rt)->Ingest("stock", Stock("Sun", 50, 2)));
+  ASSERT_TRUE((*rt)->Ingest(*stock, Stock("IBM", 100, 1)));
+  ASSERT_TRUE((*rt)->Ingest(*stock, Stock("Sun", 50, 2)));
   const auto web_event = [&](const char* ip, const char* cat,
                              Timestamp ts) {
     return EventBuilder(WebLogSchema())
@@ -519,10 +520,9 @@ TEST(StreamRuntime, FacadeBindsAllCatalogStreams) {
         .At(ts)
         .Build();
   };
-  ASSERT_TRUE((*rt)->Ingest("weblog", web_event("1.2.3.4",
+  ASSERT_TRUE((*rt)->Ingest(*weblog, web_event("1.2.3.4",
                                                 "publication", 1)));
-  ASSERT_TRUE((*rt)->Ingest("weblog", web_event("1.2.3.4", "course", 2)));
-  EXPECT_FALSE((*rt)->Ingest("nope", Stock("IBM", 1, 3)));
+  ASSERT_TRUE((*rt)->Ingest(*weblog, web_event("1.2.3.4", "course", 2)));
   ASSERT_TRUE((*rt)->Flush().ok());
   EXPECT_EQ(*(*rt)->query_matches(*stock_q), 1u);
   EXPECT_EQ(*(*rt)->query_matches(*web_q), 1u);
@@ -586,6 +586,37 @@ TEST(CollectingMatchSink, TakeOrdersDeterministically) {
   EXPECT_EQ(sink.size(), 0u);  // Take drains
 }
 
+// A null event inside a batch is refused and counted like a drop; the
+// rest of the batch is ingested as if it were not there.
+TEST(StreamRuntime, NullEventInBatchIsRefusedAndCounted) {
+  const EventPtr e1 = Stock("IBM", 1.0, 1);
+  const EventPtr e2 = Stock("Sun", 2.0, 2);
+  const auto run = [](const std::vector<EventPtr>& batch, uint64_t drops) {
+    RuntimeOptions options;
+    options.num_shards = 2;
+    auto rt = StreamRuntime::Create(options);
+    EXPECT_TRUE(rt.ok());
+    auto stream = (*rt)->AddStream("stock", StockSchema());
+    EXPECT_TRUE(stream.ok());
+    CollectingMatchSink sink;
+    QueryOptions qopts;
+    qopts.sink = &sink;
+    EXPECT_TRUE((*rt)
+                    ->RegisterQuery(*stream,
+                                    "PATTERN A;B WHERE A.price < B.price "
+                                    "WITHIN 10",
+                                    {}, qopts)
+                    .ok());
+    EXPECT_EQ((*rt)->IngestBatch(*stream, batch), drops);
+    EXPECT_TRUE((*rt)->Flush().ok());
+    EXPECT_EQ(RuntimeMetric(**rt, "zstream_events_ingested_total"), 2u);
+    return sink.SortedKeys();
+  };
+  const auto with_null = run({e1, nullptr, e2}, 1);
+  EXPECT_EQ(with_null.size(), 1u);
+  EXPECT_EQ(with_null, run({e1, e2}, 0));
+}
+
 TEST(StreamRuntime, ErrorsAreReported) {
   auto rt = StreamRuntime::Create();
   ASSERT_TRUE(rt.ok());
@@ -594,12 +625,6 @@ TEST(StreamRuntime, ErrorsAreReported) {
   auto stream = (*rt)->AddStream("s", StockSchema());
   ASSERT_TRUE(stream.ok());
   EXPECT_FALSE((*rt)->AddStream("s", StockSchema()).ok());
-  // kHashKey on a keyless pattern must be rejected.
-  QueryOptions qopts;
-  qopts.route = RoutePolicy::kHashKey;
-  auto bad = (*rt)->RegisterQuery(
-      *stream, "PATTERN A;B WHERE A.price < B.price WITHIN 10", {}, qopts);
-  EXPECT_FALSE(bad.ok());
 }
 
 TEST(StreamRuntime, ReorderSlackRestoresOrderAtIngest) {

@@ -36,7 +36,6 @@
 namespace zstream::testing {
 namespace {
 
-#ifndef ZSTREAM_OBS_STRIPPED
 
 using obs::Span;
 using obs::SpanKind;
@@ -642,7 +641,6 @@ TEST(FlightRecorder, DumpsRingWindowAndRateLimitsTriggers) {
   EXPECT_EQ(fr.dumps(), before + 1);
 }
 
-#endif  // ZSTREAM_OBS_STRIPPED
 
 }  // namespace
 }  // namespace zstream::testing
