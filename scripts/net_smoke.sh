@@ -117,6 +117,17 @@ if [[ -z "$matches_after" || "$matches_after" -ne "$EXPECT_MATCHES" ]]; then
 fi
 echo "ingested $ingested_before -> $ingested_after, matches $matches_after"
 
+# Every shard worker that dispatched the replay reports its measured
+# drain cost, which bounds how much blocking ingest may queue.
+drain=$(printf '%s\n' "$after" |
+  awk '$1 ~ /^zstream_shard_drain_ns_per_event\{/ { if ($2 > max) max = $2; n++ }
+       END { if (n) print max }')
+if [[ -z "$drain" || "$drain" -le 0 ]]; then
+  echo "error: zstream_shard_drain_ns_per_event missing or 0 after replay" >&2
+  exit 1
+fi
+echo "drain estimate (max over shards): ${drain} ns/event"
+
 # The JSON rendering and the wire path serve the same registry.
 case "$("$BIN/zstream_cli" --port "$port" metrics --json)" in
   '{'*'"runtime"'*) ;;

@@ -14,18 +14,25 @@
 namespace zstream::runtime {
 
 enum class BackpressurePolicy : char {
-  kBlock,       // Ingest blocks while a target shard's queue is full
-  kDropNewest,  // Ingest drops the event for that shard and counts it
+  /// Ingest waits while a target shard's queue holds about 1 ms of work
+  /// (its queued events × the worker's measured cost per event) or is
+  /// full; nothing is lost.
+  kBlock,
+  /// Ingest never waits: the events that do not fit under a shard's
+  /// queue_capacity are dropped for that shard and counted.
+  kDropNewest,
 };
 
 struct RuntimeOptions {
   /// Worker shards; <= 0 means std::thread::hardware_concurrency().
   int num_shards = 4;
-  /// Per-shard ring capacity (events + control messages).
+  /// Per-shard queue bound in events (a control message counts as one):
+  /// the memory bound, and the only bound at which kDropNewest drops.
+  /// Under kBlock the drain-time bound above usually binds first. One
+  /// ingest call's events for a shard travel as one queue slot; a call
+  /// bigger than this is split across slots in order.
   size_t queue_capacity = 4096;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Max events a worker pops (and processes) per queue lock.
-  int shard_batch_size = 256;
   /// Bounded out-of-orderness absorbed at the shard ingest path
   /// (Section 4.1's reordering operator, placed between the shard queue
   /// and the engines; the system's only reorder stage): each shard

@@ -1,6 +1,7 @@
 #include "runtime/stream_runtime.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -18,22 +19,30 @@ namespace zstream::runtime {
 
 namespace {
 
-/// Count-down barrier between the control plane and shard workers.
-struct SyncPoint {
-  explicit SyncPoint(int n) : remaining(n) {}
+/// How long a shard queue may take to drain before a blocking producer
+/// waits: the bound on queue wait in front of every match. 1 ms keeps a
+/// couple of typical runs queued (a 256-event run of paper Query 6 with
+/// an adaptive engine and a digesting sink takes ~0.5 ms on a 4-vCPU
+/// Xeon), so the worker always has the next run when it finishes one and
+/// never waits on a producer's wake-up, while the wait a match sees
+/// stays near a millisecond instead of a full 4096-event queue's ~8 ms.
+constexpr uint64_t kDrainBudgetNs = 1'000'000;
 
+/// Arrival barrier between the control plane and shard workers.
+struct SyncPoint {
   void Arrive() {
     zs::MutexLock lock(mu);
-    if (--remaining <= 0) cv.NotifyAll();
+    ++arrived;
+    cv.NotifyAll();
   }
-  void Wait() {
+  void WaitFor(int n) {
     zs::MutexLock lock(mu);
-    while (remaining > 0) cv.Wait(mu);
+    while (arrived < n) cv.Wait(mu);
   }
 
   zs::Mutex mu;
   zs::CondVar cv;
-  int remaining ZS_GUARDED_BY(mu);
+  int arrived ZS_GUARDED_BY(mu) = 0;
 };
 
 }  // namespace
@@ -56,12 +65,17 @@ void Gate::Open() {
   cv_.NotifyAll();
 }
 
-/// Profile collection rendezvous for ExplainAnalyze: each shard worker
-/// folds its engine's live plans in at a message boundary.
-struct StreamRuntime::ProfileCtx {
-  zs::Mutex mu;
-  PlanProfiles live ZS_GUARDED_BY(mu);
-  uint64_t events_pushed ZS_GUARDED_BY(mu) = 0;
+/// A control message's payload. One instance is shared by every shard
+/// the message goes to, so a control slot carries one pointer.
+struct StreamRuntime::Control {
+  std::shared_ptr<QueryState> query;  // kRegister/kUnregister/kCollectProfile
+  std::shared_ptr<Gate> gate;         // kGate
+  SyncPoint sync;                     // every kind but kGate
+  /// kCollectProfile (EXPLAIN ANALYZE): each shard worker folds its
+  /// engine's live plans in at a message boundary.
+  zs::Mutex profile_mu;
+  PlanProfiles live ZS_GUARDED_BY(profile_mu);
+  uint64_t events_pushed ZS_GUARDED_BY(profile_mu) = 0;
 };
 
 /// One registered query. Engines are indexed by shard and driven only by
@@ -100,9 +114,10 @@ struct StreamRuntime::QueryState {
   std::vector<std::unique_ptr<EngineCore>> engines;  // [shard] or null
 };
 
+/// One queue slot: a run of events or a control message.
 struct StreamRuntime::ShardMsg {
   enum class Kind : char {
-    kEvent,
+    kEvents,
     kRegister,
     kUnregister,
     kFinishAll,     // flush barrier: Finish every engine on the shard
@@ -110,26 +125,40 @@ struct StreamRuntime::ShardMsg {
     kGate,
   };
 
-  Kind kind = Kind::kEvent;
+  Kind kind = Kind::kEvents;
   StreamId stream = -1;
-  EventPtr event;
-  /// kEvent: MonotonicNanos at Ingest — the start of the detection
-  /// latency measured when this event's processing emits a match.
+  /// kEvents: the field every entry of `key_hashes` hashes; -1: none.
+  int hashed_field = -1;
+  /// kEvents: one ingest call's events for this shard, in order — a run.
+  std::vector<EventPtr> events;
+  /// kEvents: the router's key hashes, parallel to `events` (see
+  /// ShardOf); empty when `hashed_field` is -1.
+  std::vector<size_t> key_hashes;
+  /// kEvents: MonotonicNanos at the ingest call — the start of the
+  /// detection latency measured when the run's processing emits a match.
   uint64_t arrival_ns = 0;
-  /// kEvent: trace id of the sampled ingest batch this event belongs
-  /// to (obs/trace.h); 0 = untraced. The shard worker sets it as the
-  /// thread's current trace around dispatch.
+  /// kEvents: trace id of the sampled ingest call (obs/trace.h); 0 =
+  /// untraced. The shard worker sets it as the thread's current trace
+  /// around dispatch.
   uint64_t trace_id = 0;
-  /// kEvent: the key hash the router computed (see ShardOf).
-  KeyHint key_hint;
-  std::shared_ptr<QueryState> query;
-  std::shared_ptr<SyncPoint> sync;
-  std::shared_ptr<ProfileCtx> profile;
-  std::shared_ptr<Gate> gate;
+  std::shared_ptr<Control> control;
+
+  /// Cuts the run to its first `n` events.
+  void KeepFirst(size_t n) {
+    events.resize(n);
+    if (!key_hashes.empty()) key_hashes.resize(n);
+  }
+  /// Empties the slot for reuse; the vectors keep their capacity.
+  void Clear() {
+    events.clear();
+    key_hashes.clear();
+    control.reset();
+  }
 };
 
 struct StreamRuntime::Shard {
-  Shard(int idx, size_t capacity) : index(idx), queue(capacity) {}
+  Shard(int idx, size_t capacity)
+      : index(idx), queue(capacity, kDrainBudgetNs) {}
 
   int index;
   MpscRingQueue<ShardMsg> queue;
@@ -150,15 +179,32 @@ struct StreamRuntime::Shard {
   std::vector<Entry> entries;
 
   // Worker-thread-local: arrival stamp of the most recently dispatched
-  // event. PublishMatchTallies measures detection latency from it: for
+  // run. PublishMatchTallies measures detection latency from it: for
   // matches of a dispatch that is the triggering ingest; Finish-time
-  // matches are measured from the last event the shard saw.
+  // matches are measured from the last run the shard saw.
   uint64_t last_arrival_ns = 0;
 
-  // Worker-thread-local scratch for DispatchRun: the contiguous event
-  // span handed to PushBatch (a run, or what a reorder stage released),
-  // and the per-query filtered subset for hash-routed queries. Reused
-  // across runs to stay allocation-free.
+  // Worker-thread-local: smoothed wall nanoseconds per event of the runs
+  // this worker dispatched (engines and the sink calls they make
+  // included), reported to the queue, whose blocking pushes wait at
+  // kDrainBudgetNs of queued work. 0 until the first run.
+  double drain_ns_per_event = 0;
+
+  void RecordDrain(size_t events, uint64_t ns) {
+    const double sample = static_cast<double>(ns) / static_cast<double>(events);
+    // EWMA with weight 1/8: follows a regime change within a few dozen
+    // runs, shrugs off one preempted run.
+    drain_ns_per_event = drain_ns_per_event == 0
+                             ? sample
+                             : drain_ns_per_event +
+                                   (sample - drain_ns_per_event) / 8;
+    queue.SetDrainCost(
+        std::max<uint64_t>(1, std::llround(drain_ns_per_event)));
+  }
+
+  // Worker-thread-local scratch for DispatchRun: the span a reorder
+  // stage released, and the per-query filtered subset for hash-routed
+  // queries. Reused across runs to stay allocation-free.
   std::vector<EventPtr> span_scratch;
   std::vector<EventPtr> filter_scratch;
 
@@ -192,7 +238,6 @@ StreamRuntime::StreamRuntime(const RuntimeOptions& options)
     options_.num_shards = hw == 0 ? 1 : static_cast<int>(hw);
   }
   options_.num_shards = std::min(options_.num_shards, 64);  // route bitmask
-  if (options_.shard_batch_size < 1) options_.shard_batch_size = 1;
   start_time_ = std::chrono::steady_clock::now();
 }
 
@@ -251,7 +296,8 @@ ZS_HOT int StreamRuntime::ShardOf(int key_field, int pinned_shard,
 
 ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, StreamId stream,
                                        const std::vector<EventPtr>& events,
-                                       const ShardMsg* hints) {
+                                       int hashed_field,
+                                       const size_t* hashes) {
   for (Shard::Entry& entry : shard->entries) {
     const QueryState* q = entry.query;
     if (q->stream != stream) continue;
@@ -267,7 +313,8 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, StreamId stream,
     std::vector<EventPtr>& mine = shard->filter_scratch;
     mine.clear();
     for (size_t i = 0; i < events.size(); ++i) {
-      KeyHint hint = hints != nullptr ? hints[i].key_hint : KeyHint{};
+      KeyHint hint = hashed_field >= 0 ? KeyHint{hashed_field, hashes[i]}
+                                       : KeyHint{};
       if (ShardOf(q->key_field, q->pinned_shard, *events[i], &hint) ==
           shard->index) {
         mine.push_back(events[i]);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
@@ -279,15 +326,13 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, StreamId stream,
   }
 }
 
-ZS_HOT void StreamRuntime::PublishMatchTallies(Shard* shard) {
-  uint64_t now = 0;
+ZS_HOT void StreamRuntime::PublishMatchTallies(Shard* shard, uint64_t now) {
   for (Shard::Entry& entry : shard->entries) {
     QueryState* q = entry.query;
     uint64_t& pending = q->tallies[static_cast<size_t>(shard->index)].pending;
     if (pending == 0) continue;
     q->matches.fetch_add(pending, std::memory_order_relaxed);
     if (q->latency != nullptr) {
-      if (now == 0) now = obs::MonotonicNanos();
       q->latency->Observe(now - shard->last_arrival_ns, pending);
     }
     pending = 0;
@@ -300,7 +345,9 @@ void StreamRuntime::FlushReorder(Shard* shard, StreamId only) {
     if (only >= 0 && stream != only) continue;
     span.clear();
     stage.Flush(&span);
-    if (!span.empty()) DispatchRun(shard, stream, span, /*hints=*/nullptr);
+    if (!span.empty()) {
+      DispatchRun(shard, stream, span, /*hashed_field=*/-1, nullptr);
+    }
   }
   span.clear();
   shard->PublishReorderCounters();
@@ -311,131 +358,119 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
   // Spans recorded from this thread (queue wait, exec, operator, match)
   // land in the shard's own ring lane; lane 0 stays the control lane.
   obs::SetCurrentLane(static_cast<uint32_t>(1 + shard->index));
-  std::vector<ShardMsg> batch;
-  batch.reserve(static_cast<size_t>(options_.shard_batch_size));
-  while (shard->queue.PopBatch(&batch,
-                               static_cast<size_t>(
-                                   options_.shard_batch_size)) > 0) {
+  // The slot being handled. Emptied, it goes back into the ring at the
+  // next Pop, and a producer stages its next run in it.
+  ShardMsg msg;
+  while (shard->queue.Pop(&msg)) {
     shard->batches.fetch_add(1, std::memory_order_relaxed);
-    for (size_t bi = 0; bi < batch.size(); ++bi) {
-      ShardMsg& msg = batch[bi];
-      switch (msg.kind) {
-        case ShardMsg::Kind::kEvent: {
-          // A run: consecutive events of one stream, one ingest batch
-          // (arrival stamp) and one trace id. It reaches the engines as
-          // one span, directly or through the stream's reorder stage.
-          size_t run_end = bi + 1;
-          while (run_end < batch.size() &&
-                 batch[run_end].kind == ShardMsg::Kind::kEvent &&
-                 batch[run_end].stream == msg.stream &&
-                 batch[run_end].trace_id == msg.trace_id &&
-                 batch[run_end].arrival_ns == msg.arrival_ns) {
-            ++run_end;
-          }
-          // Matches the run emits (including the reorder releases it
-          // triggers) measure latency from its arrival.
-          shard->last_arrival_ns = msg.arrival_ns;
-          obs::SetCurrentTrace(msg.trace_id);
-          if (msg.trace_id != 0) {
-            // Queue residency: enqueue stamp to dequeue, on this shard's
-            // lane. The dominant latency contributor under load.
-            obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kQueueWait,
-                             msg.trace_id, msg.arrival_ns,
-                             obs::MonotonicNanos(), nullptr,
-                             static_cast<uint64_t>(shard->index));
-          }
+    switch (msg.kind) {
+      case ShardMsg::Kind::kEvents: {
+        // A run: one ingest call's events for this shard, one arrival
+        // stamp and one trace id. It reaches the engines as one span,
+        // directly or through the stream's reorder stage, and its wall
+        // time feeds the shard's drain estimate.
+        const size_t n = msg.events.size();
+        // Matches the run emits (including the reorder releases it
+        // triggers) measure latency from its arrival.
+        shard->last_arrival_ns = msg.arrival_ns;
+        obs::SetCurrentTrace(msg.trace_id);
+        const uint64_t start = obs::MonotonicNanos();
+        if (msg.trace_id != 0) {
+          // Queue residency: enqueue stamp to dequeue, on this shard's
+          // lane.
+          obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kQueueWait,
+                           msg.trace_id, msg.arrival_ns, start, nullptr,
+                           static_cast<uint64_t>(shard->index));
+        }
+        if (reordering) {
+          // Released events lose their router key hashes: they may mix
+          // runs, so keyed queries re-hash them in DispatchRun.
           std::vector<EventPtr>& span = shard->span_scratch;
-          span.clear();
-          if (reordering) {
-            // Released events lose their router key hints: they may mix
-            // runs, so keyed queries re-hash them in DispatchRun.
-            ReorderStage& stage =
-                shard->reorder.try_emplace(msg.stream, options_.reorder_slack)
-                    .first->second;
-            for (size_t i = bi; i < run_end; ++i) {
-              stage.Push(std::move(batch[i].event), &span);
-            }
-            if (!span.empty()) {
-              DispatchRun(shard, msg.stream, span, /*hints=*/nullptr);
-            }
-          } else {
-            for (size_t i = bi; i < run_end; ++i) {
-              span.push_back(std::move(batch[i].event));  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
-            }
-            DispatchRun(shard, msg.stream, span, &batch[bi]);
+          ReorderStage& stage =
+              shard->reorder.try_emplace(msg.stream, options_.reorder_slack)
+                  .first->second;
+          for (EventPtr& event : msg.events) {
+            stage.Push(std::move(event), &span);
+          }
+          if (!span.empty()) {
+            DispatchRun(shard, msg.stream, span, /*hashed_field=*/-1,
+                        nullptr);
           }
           span.clear();
-          PublishMatchTallies(shard);
-          obs::SetCurrentTrace(0);
-          shard->events_processed.fetch_add(run_end - bi,
-                                            std::memory_order_relaxed);
-          bi = run_end - 1;
-          break;
+          shard->PublishReorderCounters();
+        } else {
+          DispatchRun(shard, msg.stream, msg.events, msg.hashed_field,
+                      msg.key_hashes.data());
         }
-        case ShardMsg::Kind::kRegister: {
-          EngineCore* engine =
-              msg.query->engines[static_cast<size_t>(shard->index)].get();
-          shard->entries.push_back(Shard::Entry{msg.query.get(), engine});
-          msg.sync->Arrive();
-          break;
+        const uint64_t end = obs::MonotonicNanos();
+        PublishMatchTallies(shard, end);
+        shard->RecordDrain(n, end - start);
+        obs::SetCurrentTrace(0);
+        shard->events_processed.fetch_add(n, std::memory_order_relaxed);
+        break;
+      }
+      case ShardMsg::Kind::kRegister: {
+        QueryState* q = msg.control->query.get();
+        EngineCore* engine =
+            q->engines[static_cast<size_t>(shard->index)].get();
+        shard->entries.push_back(Shard::Entry{q, engine});
+        msg.control->sync.Arrive();
+        break;
+      }
+      case ShardMsg::Kind::kUnregister: {
+        const QueryState* q = msg.control->query.get();
+        auto it = std::find_if(
+            shard->entries.begin(), shard->entries.end(),
+            [q](const Shard::Entry& e) { return e.query == q; });
+        if (it != shard->entries.end()) {
+          // Release the stream's reorder buffer first so the final
+          // match count covers everything ingested before the retire.
+          // Side effect (as at the kFinishAll barrier): other queries on
+          // the stream see those events now, and later arrivals below
+          // the flushed frontier count as late.
+          if (reordering) FlushReorder(shard, q->stream);
+          it->engine->Finish();  // deliver pending matches first
+          PublishMatchTallies(shard, obs::MonotonicNanos());
+          shard->entries.erase(it);
         }
-        case ShardMsg::Kind::kUnregister: {
-          const QueryId id = msg.query->id;
-          auto it = std::find_if(
-              shard->entries.begin(), shard->entries.end(),
-              [id](const Shard::Entry& e) { return e.query->id == id; });
-          if (it != shard->entries.end()) {
-            // Release the stream's reorder buffer first so the final
-            // match count covers everything ingested before the
-            // retire. Side effect (as at the kFinishAll barrier):
-            // other queries on the stream see those events now, and
-            // later arrivals below the flushed frontier count as late.
-            if (reordering) FlushReorder(shard, msg.query->stream);
-            it->engine->Finish();  // deliver pending matches first
-            PublishMatchTallies(shard);
-            shard->entries.erase(it);
-          }
-          msg.sync->Arrive();
-          break;
+        msg.control->sync.Arrive();
+        break;
+      }
+      case ShardMsg::Kind::kFinishAll: {
+        // Release everything still buffered in the reorder stages first,
+        // so the barrier's promise ("every event enqueued before this
+        // call is processed") covers them. Events arriving after the
+        // barrier with timestamps below the flush point count as late.
+        if (reordering) FlushReorder(shard, /*only=*/-1);
+        for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
+        PublishMatchTallies(shard, obs::MonotonicNanos());
+        msg.control->sync.Arrive();
+        break;
+      }
+      case ShardMsg::Kind::kCollectProfile: {
+        Control* ctl = msg.control.get();
+        for (Shard::Entry& entry : shard->entries) {
+          if (entry.query != ctl->query.get()) continue;
+          PlanProfiles part = entry.engine->Profile();
+          const uint64_t pushed = entry.engine->events_pushed();
+          zs::MutexLock lock(ctl->profile_mu);
+          ctl->events_pushed += pushed;
+          FoldPlanProfiles(&ctl->live, std::move(part));
         }
-        case ShardMsg::Kind::kFinishAll: {
-          // Release everything still buffered in the reorder stages
-          // first, so the barrier's promise ("every event enqueued
-          // before this call is processed") covers them. Events
-          // arriving after the barrier with timestamps below the flush
-          // point count as late.
-          if (reordering) FlushReorder(shard, /*only=*/-1);
-          for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
-          PublishMatchTallies(shard);
-          msg.sync->Arrive();
-          break;
-        }
-        case ShardMsg::Kind::kCollectProfile: {
-          const QueryId id = msg.query->id;
-          for (Shard::Entry& entry : shard->entries) {
-            if (entry.query->id != id) continue;
-            ProfileCtx* ctx = msg.profile.get();
-            PlanProfiles part = entry.engine->Profile();
-            const uint64_t pushed = entry.engine->events_pushed();
-            zs::MutexLock lock(ctx->mu);
-            ctx->events_pushed += pushed;
-            FoldPlanProfiles(&ctx->live, std::move(part));
-          }
-          msg.sync->Arrive();
-          break;
-        }
-        case ShardMsg::Kind::kGate: {
-          msg.gate->Park();
-          break;
-        }
+        ctl->sync.Arrive();
+        break;
+      }
+      case ShardMsg::Kind::kGate: {
+        msg.control->gate->Park();
+        break;
       }
     }
-    if (reordering) shard->PublishReorderCounters();
+    msg.Clear();
   }
   // Queue closed and drained: flush so counters and sinks are complete.
   if (reordering) FlushReorder(shard, /*only=*/-1);
   for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
-  PublishMatchTallies(shard);
+  PublishMatchTallies(shard, obs::MonotonicNanos());
 }
 
 // ---------------------------------------------------------------------
@@ -502,9 +537,10 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(StreamId stream,
   // One stamp per batch: latency for a batch's matches is measured from
   // the batch's enqueue, which is what a producer of that batch observes.
   const uint64_t arrival_ns = obs::MonotonicNanos();
-  // Per-thread staging, one message vector per shard: every call leaves
-  // them empty and the next reuses their capacity.
-  thread_local std::vector<std::vector<ShardMsg>> staged;
+  // Per-thread staging, one run per shard: every call leaves them empty
+  // and the next reuses their capacity (or the capacity of the emptied
+  // slot a push handed back).
+  thread_local std::vector<ShardMsg> staged;
   if (staged.size() < shards_.size()) {
     staged.resize(shards_.size());  // zs-hotpath-allow(once per thread)
   }
@@ -527,16 +563,16 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(StreamId stream,
         mask |= 1ULL << ShardOf(route.key_field, route.pinned_shard, *event,
                                 &hint);
       }
+      // The routes are the same for every event of the call, so the
+      // field the hint ends on is too: one hashed_field per run.
       for (size_t s = 0; mask != 0; ++s, mask >>= 1) {
         if ((mask & 1) == 0) continue;
-        ShardMsg msg;
-        msg.kind = ShardMsg::Kind::kEvent;
-        msg.stream = stream;
-        msg.event = event;
-        msg.arrival_ns = arrival_ns;
-        msg.trace_id = trace_id;
-        msg.key_hint = hint;
-        staged[s].push_back(std::move(msg));  // zs-hotpath-allow(amortized: staging capacity reused across calls)
+        ShardMsg& run = staged[s];
+        run.events.push_back(event);  // zs-hotpath-allow(amortized: run capacity recycled through the shard queue)
+        run.hashed_field = hint.field;
+        if (hint.field >= 0) {
+          run.key_hashes.push_back(hint.hash);  // zs-hotpath-allow(amortized: run capacity recycled through the shard queue)
+        }
       }
     }
   }
@@ -547,22 +583,57 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(StreamId stream,
   }
   uint64_t drops = refused;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    std::vector<ShardMsg>& msgs = staged[s];
-    if (msgs.empty()) continue;
-    if (options_.backpressure == BackpressurePolicy::kBlock) {
-      // PushAll falls short only when the runtime stopped mid-batch.
-      drops += msgs.size() - shards_[s]->queue.PushAll(&msgs);
-    } else {
-      for (ShardMsg& msg : msgs) {
-        if (!shards_[s]->queue.TryPush(std::move(msg))) {
-          shards_[s]->dropped.fetch_add(1, std::memory_order_relaxed);
-          ++drops;
-        }
-      }
-    }
-    msgs.clear();
+    ShardMsg& run = staged[s];
+    if (run.events.empty()) continue;
+    run.kind = ShardMsg::Kind::kEvents;
+    run.stream = stream;
+    run.arrival_ns = arrival_ns;
+    run.trace_id = trace_id;
+    drops += EnqueueRun(shards_[s].get(), &run);
   }
   return drops;
+}
+
+ZS_HOT uint64_t StreamRuntime::EnqueueRun(Shard* shard, ShardMsg* run) {
+  MpscRingQueue<ShardMsg>& queue = shard->queue;
+  const size_t n = run->events.size();
+  uint64_t dropped = 0;
+  if (options_.backpressure == BackpressurePolicy::kDropNewest) {
+    // Only the capacity drops: the events that do not fit are the tail.
+    dropped = n - queue.TryPush(run, n, [](ShardMsg* m, size_t keep) {
+                m->KeepFirst(keep);
+              });
+    if (dropped != 0) {
+      shard->dropped.fetch_add(dropped, std::memory_order_relaxed);
+    }
+  } else if (n <= queue.capacity()) {
+    // Push falls short only when the runtime stopped.
+    if (!queue.Push(run, n)) dropped = n;
+  } else {
+    // Bigger than the whole queue: capacity-sized slots, in order.
+    const size_t cap = queue.capacity();
+    ShardMsg chunk;
+    for (size_t at = 0; at < n && dropped == 0; at += cap) {
+      const size_t len = std::min(cap, n - at);
+      const auto first = static_cast<std::ptrdiff_t>(at);
+      const auto last = static_cast<std::ptrdiff_t>(at + len);
+      chunk.kind = run->kind;
+      chunk.stream = run->stream;
+      chunk.hashed_field = run->hashed_field;
+      chunk.arrival_ns = run->arrival_ns;
+      chunk.trace_id = run->trace_id;
+      chunk.events.assign(  // zs-hotpath-allow(only calls bigger than the whole queue; later chunks reuse the slot a push handed back)
+          run->events.begin() + first, run->events.begin() + last);
+      if (!run->key_hashes.empty()) {
+        chunk.key_hashes.assign(  // zs-hotpath-allow(as for events)
+            run->key_hashes.begin() + first, run->key_hashes.begin() + last);
+      }
+      if (!queue.Push(&chunk, len)) dropped = n - at;
+      chunk.Clear();
+    }
+  }
+  run->Clear();
+  return dropped;
 }
 
 // ---------------------------------------------------------------------
@@ -582,20 +653,14 @@ std::vector<int> StreamRuntime::TargetShards(const QueryState& qs) const {
 }
 
 bool StreamRuntime::SyncShards(const std::vector<int>& shard_indices,
-                               ShardMsg&& proto) {
-  auto sync = std::make_shared<SyncPoint>(
-      static_cast<int>(shard_indices.size()));
-  proto.sync = sync;
-  bool all_delivered = true;
+                               const ShardMsg& proto) {
+  int delivered = 0;
   for (int s : shard_indices) {
-    ShardMsg msg = proto;  // shared_ptr copies
-    if (!shards_[static_cast<size_t>(s)]->queue.Push(std::move(msg))) {
-      sync->Arrive();  // queue closed: account for the missing worker ack
-      all_delivered = false;
-    }
+    ShardMsg msg = proto;  // shares proto.control
+    if (shards_[static_cast<size_t>(s)]->queue.Push(&msg)) ++delivered;
   }
-  sync->Wait();
-  return all_delivered;
+  proto.control->sync.WaitFor(delivered);
+  return delivered == static_cast<int>(shard_indices.size());
 }
 
 Result<QueryId> StreamRuntime::RegisterQuery(StreamId stream,
@@ -686,8 +751,9 @@ Result<QueryId> StreamRuntime::RegisterQuery(
   // return are guaranteed to be evaluated.
   ShardMsg msg;
   msg.kind = ShardMsg::Kind::kRegister;
-  msg.query = qs;
-  if (!SyncShards(targets, std::move(msg))) {
+  msg.control = std::make_shared<Control>();
+  msg.control->query = qs;
+  if (!SyncShards(targets, msg)) {
     // Stop() raced with us: some worker never installed the engine, so
     // the registration guarantee cannot hold. Nothing was published;
     // qs (and its engines, which no worker ever saw) die here.
@@ -730,8 +796,9 @@ Result<uint64_t> StreamRuntime::UnregisterQuery(QueryId id) {
   }
   ShardMsg msg;
   msg.kind = ShardMsg::Kind::kUnregister;
-  msg.query = qs;
-  if (!SyncShards(TargetShards(*qs), std::move(msg))) {
+  msg.control = std::make_shared<Control>();
+  msg.control->query = qs;
+  if (!SyncShards(TargetShards(*qs), msg)) {
     // Runtime is stopping: some worker never processed the retire
     // message and may still touch the engines while draining. Leave the
     // QueryState registered so the engines outlive the workers (they
@@ -772,7 +839,8 @@ Status StreamRuntime::Flush() {
   }
   ShardMsg msg;
   msg.kind = ShardMsg::Kind::kFinishAll;
-  SyncShards(all, std::move(msg));
+  msg.control = std::make_shared<Control>();
+  SyncShards(all, msg);
   return Status::OK();
 }
 
@@ -811,13 +879,11 @@ Result<std::string> StreamRuntime::ExplainAnalyze(QueryId id) {
     qs = it->second;
   }
   QueryState* q = qs.get();
-  auto profile = std::make_shared<ProfileCtx>();
-  ProfileCtx* pctx = profile.get();
   ShardMsg msg;
   msg.kind = ShardMsg::Kind::kCollectProfile;
-  msg.query = qs;
-  msg.profile = profile;
-  if (!SyncShards(TargetShards(*qs), std::move(msg))) {
+  msg.control = std::make_shared<Control>();
+  msg.control->query = qs;
+  if (!SyncShards(TargetShards(*qs), msg)) {
     return Status::FailedPrecondition("runtime stopped during profile");
   }
 
@@ -826,9 +892,10 @@ Result<std::string> StreamRuntime::ExplainAnalyze(QueryId id) {
   PlanProfiles live;
   uint64_t events_pushed = 0;
   {
-    zs::MutexLock lock(pctx->mu);
-    live = std::move(pctx->live);
-    events_pushed = pctx->events_pushed;
+    Control* ctl = msg.control.get();
+    zs::MutexLock lock(ctl->profile_mu);
+    live = std::move(ctl->live);
+    events_pushed = ctl->events_pushed;
   }
   uint64_t pairs = 0;
   for (const PlanProfile& p : live) pairs += p.root.TotalPairs();
@@ -873,7 +940,8 @@ void StreamRuntime::UpdateMetrics() {
                    "Events dispatched to engines, per shard")
         ->Store(shard->events_processed.load(std::memory_order_relaxed));
     reg.GetCounter("zstream_shard_batches_total", labels,
-                   "Queue batches popped, per shard")
+                   "Queue slots popped (one per ingest call's run or "
+                   "control message), per shard")
         ->Store(shard->batches.load(std::memory_order_relaxed));
     reg.GetCounter("zstream_shard_events_dropped_total", labels,
                    "Events dropped on a full queue (kDropNewest)")
@@ -882,8 +950,14 @@ void StreamRuntime::UpdateMetrics() {
                    "Events dropped for arriving beyond the reorder slack")
         ->Store(shard->reorder_late.load(std::memory_order_relaxed));
     reg.GetGauge("zstream_shard_queue_depth", labels,
-                 "Messages waiting in the shard's ring queue")
+                 "Events (and control messages) waiting in the shard's "
+                 "queue")
         ->Set(static_cast<int64_t>(shard->queue.size()));
+    reg.GetGauge("zstream_shard_drain_ns_per_event", labels,
+                 "The shard worker's smoothed wall time per event, sink "
+                 "included; blocking ingest waits at 1 ms of queued "
+                 "events at this cost (0 until its first run)")
+        ->Set(static_cast<int64_t>(shard->queue.drain_cost()));
     reg.GetGauge("zstream_shard_reorder_pending", labels,
                  "Events buffered in the shard's reorder stages")
         ->Set(static_cast<int64_t>(
@@ -946,8 +1020,9 @@ std::shared_ptr<Gate> StreamRuntime::PauseShard(int shard) {
   }
   ShardMsg msg;
   msg.kind = ShardMsg::Kind::kGate;
-  msg.gate = gate;
-  if (!shards_[static_cast<size_t>(shard)]->queue.Push(std::move(msg))) {
+  msg.control = std::make_shared<Control>();
+  msg.control->gate = gate;
+  if (!shards_[static_cast<size_t>(shard)]->queue.Push(&msg)) {
     return nullptr;
   }
   return gate;

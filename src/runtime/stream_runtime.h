@@ -14,9 +14,13 @@
 // hashes to, so every key's events land on exactly one shard and the
 // sharded match set equals the single-threaded one exactly; a keyless
 // query runs whole on one shard (assigned round-robin across queries,
-// so many queries still spread over all cores). Backpressure on full
-// queues is configurable: block the producer, or drop-newest with
-// per-shard drop counters.
+// so many queries still spread over all cores). Each ingest call's
+// events for a shard travel as one queue slot and reach the engines as
+// one run. A shard queue is bounded by drain time: a blocking producer
+// waits while the queue holds about 1 ms of the worker's measured work
+// (so detection latency is not a full queue's wait), and
+// queue_capacity events bound its memory. Backpressure is configurable:
+// block the producer, or drop-newest with per-shard drop counters.
 //
 // Queries register and unregister at runtime; both are barriers (they
 // return once every shard has installed/retired its engine), so events
@@ -182,7 +186,7 @@ class StreamRuntime {
   struct Shard;        // defined in stream_runtime.cc
   struct QueryState;   // defined in stream_runtime.cc
   struct ShardMsg;     // defined in stream_runtime.cc
-  struct ProfileCtx;   // defined in stream_runtime.cc
+  struct Control;      // defined in stream_runtime.cc
 
   /// Routing entry snapshot used by Ingest without touching QueryState.
   struct RouteEntry {
@@ -215,27 +219,33 @@ class StreamRuntime {
   /// Offers a timestamp-ordered span of `stream` events to every engine
   /// on `shard`, as one EngineCore::PushBatch per engine. Keyed queries
   /// filter the span to the events ShardOf names this shard for,
-  /// reusing the router's key hashes from `hints` (parallel to
-  /// `events`) or re-hashing when `hints` is null.
+  /// reusing the router's hashes of field `hashed_field` from `hashes`
+  /// (parallel to `events`), or re-hashing when `hashed_field` is -1.
   void DispatchRun(Shard* shard, StreamId stream,
-                   const std::vector<EventPtr>& events,
-                   const ShardMsg* hints);
+                   const std::vector<EventPtr>& events, int hashed_field,
+                   const size_t* hashes);
   /// Publishes the match tallies the shard's engine callbacks counted
   /// since the last call: one counter add and one latency-histogram
-  /// observation per query, instead of per match. Called after every
-  /// dispatch and before every barrier acknowledges, so query_matches
-  /// and the histogram count are exact at Flush.
-  void PublishMatchTallies(Shard* shard);
+  /// observation (at `now`) per query, instead of per match. Called
+  /// after every dispatch and before every barrier acknowledges, so
+  /// query_matches and the histogram count are exact at Flush.
+  void PublishMatchTallies(Shard* shard, uint64_t now);
+  /// Enqueues one ingest call's run for `shard` under the backpressure
+  /// policy and leaves `run` empty for the caller's next call; returns
+  /// the events dropped.
+  uint64_t EnqueueRun(Shard* shard, ShardMsg* run);
   /// Drains the shard's reorder stage for `only` (every stream when -1)
   /// into its engines (stream end / flush barrier) and refreshes the
   /// shard's published reorder counters.
   void FlushReorder(Shard* shard, StreamId only);
-  /// Sends `msg` to the given shards plus a sync barrier and waits.
-  /// Returns false when any queue was already closed (runtime stopping),
-  /// i.e. some worker never saw the message. Callers must NOT hold
-  /// control_mu_: a worker can block on control_mu_ inside a MatchSink
-  /// callback, and waiting on it here would deadlock.
-  bool SyncShards(const std::vector<int>& shard_indices, ShardMsg&& proto);
+  /// Sends a copy of `proto` (a control message) to each of the given
+  /// shards and waits until every worker that got it has handled it.
+  /// Returns false when any queue was already closed (runtime
+  /// stopping), i.e. some worker never saw the message. Callers must NOT
+  /// hold control_mu_: a worker can block on control_mu_ inside a
+  /// MatchSink callback, and waiting on it here would deadlock.
+  bool SyncShards(const std::vector<int>& shard_indices,
+                  const ShardMsg& proto);
   std::vector<int> TargetShards(const QueryState& qs) const;
 
   RuntimeOptions options_;

@@ -225,16 +225,24 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
       int shards;
       bool batched;  // IngestBatch in ragged chunks instead of Ingest
       bool adaptive;  // EagerAdaptiveOptions on every shard engine
+      size_t queue_capacity;  // events per shard queue
     };
+    const size_t default_capacity = runtime::RuntimeOptions{}.queue_capacity;
     for (const RuntimeVariant& v :
-         {RuntimeVariant{"runtime:1", 1, false, false},
-          RuntimeVariant{"runtime:4", 4, false, false},
-          RuntimeVariant{"runtime:4/adaptive", 4, false, true},
-          RuntimeVariant{"runtime:2/batches", 2, true, false}}) {
+         {RuntimeVariant{"runtime:1", 1, false, false, default_capacity},
+          RuntimeVariant{"runtime:4", 4, false, false, default_capacity},
+          RuntimeVariant{"runtime:4/adaptive", 4, false, true,
+                         default_capacity},
+          RuntimeVariant{"runtime:2/batches", 2, true, false,
+                         default_capacity},
+          // Every chunk longer than 3 events for a shard is split
+          // across queue slots.
+          RuntimeVariant{"runtime:2/tinyqueue", 2, true, false, 3}}) {
       const std::string& path = v.name;
       if (!want(path)) continue;
       runtime::RuntimeOptions ro;
       ro.num_shards = v.shards;
+      ro.queue_capacity = v.queue_capacity;
       ro.reorder_slack = trace.max_disorder;
       auto rt = runtime::StreamRuntime::Create(ro);
       if (!rt.ok()) {

@@ -7,6 +7,8 @@
 // pre-recorded trace, using CanonicalMatchKey on both sides.
 #include "runtime/stream_runtime.h"
 
+#include <atomic>
+#include <chrono>
 #include <random>
 #include <thread>
 
@@ -65,45 +67,162 @@ std::vector<std::string> SingleThreadedKeys(
   return keys;
 }
 
+// Drain budget of the queue unit tests, in ns; the tests set the cost.
+constexpr uint64_t kBudgetNs = 1000;
+
+/// TryPush of one unit (nothing to cut).
+bool TryPushOne(MpscRingQueue<int>* q, int v) {
+  return q->TryPush(&v, 1, [](int*, size_t) {}) == 1;
+}
+
+/// Polls until `done()` holds; false after 10 s.
+template <typename Pred>
+bool Eventually(Pred done) {
+  for (int i = 0; i < 10000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
 TEST(MpscRingQueue, OrdersAndBounds) {
-  MpscRingQueue<int> q(4);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_TRUE(q.TryPush(3));
-  EXPECT_TRUE(q.TryPush(4));
-  EXPECT_FALSE(q.TryPush(5));  // full
-  std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(&out, 3), 3u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(q.TryPush(6));
-  EXPECT_EQ(q.PopBatch(&out, 10), 2u);
-  EXPECT_EQ(out, (std::vector<int>{4, 6}));
+  MpscRingQueue<int> q(4, kBudgetNs);
+  EXPECT_TRUE(TryPushOne(&q, 1));
+  EXPECT_TRUE(TryPushOne(&q, 2));
+  EXPECT_TRUE(TryPushOne(&q, 3));
+  EXPECT_TRUE(TryPushOne(&q, 4));
+  EXPECT_FALSE(TryPushOne(&q, 5));  // full
+  int out = 0;
+  for (int want : {1, 2, 3}) {
+    ASSERT_TRUE(q.Pop(&out));
+    EXPECT_EQ(out, want);
+  }
+  EXPECT_TRUE(TryPushOne(&q, 6));
+  for (int want : {4, 6}) {
+    ASSERT_TRUE(q.Pop(&out));
+    EXPECT_EQ(out, want);
+  }
   q.Close();
-  EXPECT_FALSE(q.TryPush(7));
-  EXPECT_EQ(q.PopBatch(&out, 10), 0u);  // closed and drained
+  EXPECT_FALSE(TryPushOne(&q, 7));
+  EXPECT_FALSE(q.Pop(&out));  // closed and drained
 }
 
 TEST(MpscRingQueue, ManyProducersDeliverEverything) {
-  MpscRingQueue<int> q(64);
+  MpscRingQueue<int> q(64, kBudgetNs);
+  q.SetDrainCost(1);  // the capacity binds, not the budget
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 5000;
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push(p);
+      for (int i = 0; i < kPerProducer; ++i) {
+        int v = p;
+        q.Push(&v);
+      }
     });
   }
   int64_t got = 0;
   std::thread consumer([&] {
-    std::vector<int> batch;
-    while (q.PopBatch(&batch, 128) > 0) {
-      got += static_cast<int64_t>(batch.size());
-    }
+    int item = 0;
+    while (q.Pop(&item)) ++got;
   });
   for (auto& t : producers) t.join();
   q.Close();
   consumer.join();
   EXPECT_EQ(got, kProducers * kPerProducer);
+}
+
+TEST(MpscRingQueue, BlockingPushStopsAtDrainBudget) {
+  MpscRingQueue<int> q(64, kBudgetNs);
+  q.SetDrainCost(300);  // ⌈1000 / 300⌉ = 4 items reach the budget
+  std::atomic<int> pushed{0};
+  std::thread producer([&] {
+    for (int i = 0; i < 10; ++i) {
+      int v = i;
+      ASSERT_TRUE(q.Push(&v));
+      ++pushed;
+    }
+  });
+  ASSERT_TRUE(Eventually([&] { return pushed.load() == 4; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(pushed.load(), 4);  // 4 × 300 ns >= the budget: it waits
+  EXPECT_EQ(q.size(), 4u);
+  int out = -1;
+  ASSERT_TRUE(q.Pop(&out));
+  EXPECT_EQ(out, 0);
+  // The consumer drained one: the producer resumes, and stops again.
+  ASSERT_TRUE(Eventually([&] { return pushed.load() == 5; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(pushed.load(), 5);
+  EXPECT_EQ(q.size(), 4u);
+  for (int want = 1; want < 10; ++want) {
+    ASSERT_TRUE(q.Pop(&out));
+    EXPECT_EQ(out, want);
+  }
+  producer.join();
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(MpscRingQueue, EmptyQueueAdmitsRunCostlierThanBudget) {
+  MpscRingQueue<int> q(64, kBudgetNs);
+  q.SetDrainCost(300);
+  int run = 1;
+  ASSERT_TRUE(q.Push(&run, 10));  // 3000 ns of work, but the queue is empty
+  EXPECT_EQ(q.size(), 10u);
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    int v = 2;
+    EXPECT_TRUE(q.Push(&v));
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(done.load());  // over budget and not empty: waits
+  int out = 0;
+  ASSERT_TRUE(q.Pop(&out));
+  EXPECT_EQ(out, 1);
+  producer.join();
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(MpscRingQueue, BlockingPushWaitsForEmptyBeforeCostIsSet) {
+  MpscRingQueue<int> q(64, kBudgetNs);
+  int v = 1;
+  ASSERT_TRUE(q.Push(&v));  // empty: admitted with no cost known
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    int w = 2;
+    EXPECT_TRUE(q.Push(&w));
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(done.load());  // no cost measured: waits for empty
+  EXPECT_EQ(q.size(), 1u);
+  int out = 0;
+  ASSERT_TRUE(q.Pop(&out));
+  EXPECT_EQ(out, 1);
+  producer.join();
+  ASSERT_TRUE(q.Pop(&out));
+  EXPECT_EQ(out, 2);
+}
+
+TEST(MpscRingQueue, TryPushIgnoresBudgetAndStopsAtCapacity) {
+  MpscRingQueue<std::vector<int>> q(8, kBudgetNs);
+  q.SetDrainCost(1'000'000);  // a single unit is over the budget
+  const auto keep_first = [](std::vector<int>* v, size_t k) { v->resize(k); };
+  std::vector<int> run = {1, 2, 3};
+  EXPECT_EQ(q.TryPush(&run, 3, keep_first), 3u);
+  run = {4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(q.TryPush(&run, 7, keep_first), 5u);  // the newest two cut
+  EXPECT_EQ(q.size(), 8u);
+  run = {11};
+  EXPECT_EQ(q.TryPush(&run, 1, keep_first), 0u);  // full
+  EXPECT_EQ(run, std::vector<int>{11});           // left as it was
+  std::vector<int> out;
+  ASSERT_TRUE(q.Pop(&out));
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+  ASSERT_TRUE(q.Pop(&out));
+  EXPECT_EQ(out, (std::vector<int>{4, 5, 6, 7, 8}));
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(StreamRuntime, ShardedStockMatchesEqualSingleThreaded) {
@@ -353,6 +472,80 @@ TEST(StreamRuntime, BackpressureBlockLosesNothing) {
   EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_events_dropped_total"), 0u);
   EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_events_processed_total"),
             64u);
+}
+
+/// Spins for `ns` on every match, so each event costs the shard worker
+/// a known order of magnitude.
+class SpinningSink final : public runtime::MatchSink {
+ public:
+  explicit SpinningSink(uint64_t ns) : ns_(ns) {}
+  void Publish(runtime::RuntimeMatch&&) override {
+    const uint64_t until = obs::MonotonicNanos() + ns_;
+    while (obs::MonotonicNanos() < until) {
+    }
+  }
+
+ private:
+  const uint64_t ns_;
+};
+
+TEST(StreamRuntime, BlockingIngestStopsAtDrainBudget) {
+  RuntimeOptions options;
+  options.num_shards = 1;  // default 4096-event queue, kBlock
+  auto rt = StreamRuntime::Create(options);
+  ASSERT_TRUE(rt.ok());
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  ASSERT_TRUE(stream.ok());
+  SpinningSink sink(2000);
+  QueryOptions qopts;
+  qopts.sink = &sink;
+  auto id = (*rt)->RegisterQuery(
+      *stream, "PATTERN A;B WHERE A.name = B.name WITHIN 10", {}, qopts);
+  ASSERT_TRUE(id.ok());
+
+  // Runs of 10 events, one timestamp apart: each event matches about
+  // ten earlier ones, so the worker measures tens of us per event.
+  constexpr size_t kRun = 10;
+  Timestamp ts = 0;
+  const auto ingest_runs = [&](int events) {
+    std::vector<EventPtr> run;
+    for (int i = 0; i < events; ++i) {
+      run.push_back(Stock("SYM", 10.0, ++ts));
+      if (run.size() == kRun) {
+        EXPECT_EQ((*rt)->IngestBatch(*stream, run), 0u);
+        run.clear();
+      }
+    }
+  };
+  ingest_runs(500);
+  ASSERT_TRUE((*rt)->Flush().ok());
+  const uint64_t estimate =
+      RuntimeMetric(**rt, "zstream_shard_drain_ns_per_event");
+  ASSERT_GT(estimate, 0u);
+  // 1 ms of queued events at the estimate.
+  const uint64_t budget_events = (1'000'000 + estimate - 1) / estimate;
+  ASSERT_LT(budget_events, 1000u) << "sink spin did not register";
+
+  auto gate = (*rt)->PauseShard(0);
+  ASSERT_NE(gate, nullptr);
+  gate->WaitParked();
+  std::thread producer([&] { ingest_runs(10000); });
+  const auto depth = [&] {
+    return RuntimeMetric(**rt, "zstream_shard_queue_depth");
+  };
+  ASSERT_TRUE(Eventually([&] { return depth() >= budget_events; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // The producer stopped once the queue held the budget's worth; the
+  // run that crossed it is the only excess.
+  EXPECT_GE(depth(), budget_events);
+  EXPECT_LE(depth(), budget_events + kRun - 1);
+
+  gate->Open();
+  producer.join();
+  ASSERT_TRUE((*rt)->Flush().ok());
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_events_processed_total"),
+            10500u);
+  EXPECT_EQ(RuntimeMetric(**rt, "zstream_shard_events_dropped_total"), 0u);
 }
 
 TEST(StreamRuntime, KeyedAdaptiveQueryKeepsMatchSetExact) {

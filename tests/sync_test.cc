@@ -115,7 +115,8 @@ TEST(SyncTest, SharedMutexAllowsConcurrentReaders) {
 }
 
 TEST(SyncTest, MpscQueueDeliversAllItemsAcrossProducers) {
-  runtime::MpscRingQueue<int> queue(16);
+  runtime::MpscRingQueue<int> queue(16, /*drain_budget_ns=*/1000);
+  queue.SetDrainCost(1);  // the capacity binds, not the budget
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 2000;
 
@@ -123,17 +124,16 @@ TEST(SyncTest, MpscQueueDeliversAllItemsAcrossProducers) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(queue.Push(p * kPerProducer + i));
+        int v = p * kPerProducer + i;
+        ASSERT_TRUE(queue.Push(&v));
       }
     });
   }
 
   std::vector<int> received;
   std::thread consumer([&] {
-    std::vector<int> batch;
-    while (queue.PopBatch(&batch, 64) > 0) {
-      received.insert(received.end(), batch.begin(), batch.end());
-    }
+    int item = 0;
+    while (queue.Pop(&item)) received.push_back(item);
   });
 
   for (auto& th : producers) th.join();
@@ -149,15 +149,20 @@ TEST(SyncTest, MpscQueueDeliversAllItemsAcrossProducers) {
 }
 
 TEST(SyncTest, MpscQueueCloseUnblocksFullQueueProducers) {
-  runtime::MpscRingQueue<int> queue(2);
-  ASSERT_TRUE(queue.Push(1));
-  ASSERT_TRUE(queue.Push(2));
-  EXPECT_FALSE(queue.TryPush(3));
+  runtime::MpscRingQueue<int> queue(2, /*drain_budget_ns=*/1000);
+  queue.SetDrainCost(1);
+  int v = 1;
+  ASSERT_TRUE(queue.Push(&v));
+  v = 2;
+  ASSERT_TRUE(queue.Push(&v));
+  v = 3;
+  EXPECT_EQ(queue.TryPush(&v, 1, [](int*, size_t) {}), 0u);
 
   std::atomic<bool> push_returned{false};
   std::thread blocked([&] {
     // Blocks on the full ring until Close; must return false, not hang.
-    EXPECT_FALSE(queue.Push(4));
+    int w = 4;
+    EXPECT_FALSE(queue.Push(&w));
     push_returned = true;
   });
   queue.Close();
@@ -165,29 +170,37 @@ TEST(SyncTest, MpscQueueCloseUnblocksFullQueueProducers) {
   EXPECT_TRUE(push_returned.load());
 
   // Closed queue still drains what was placed before the close.
-  std::vector<int> batch;
-  EXPECT_EQ(queue.PopBatch(&batch, 8), 2u);
-  EXPECT_EQ(queue.PopBatch(&batch, 8), 0u);
+  int out = 0;
+  EXPECT_TRUE(queue.Pop(&out));
+  EXPECT_TRUE(queue.Pop(&out));
+  EXPECT_FALSE(queue.Pop(&out));
 }
 
-TEST(SyncTest, MpscQueuePushAllHonorsCapacityBackpressure) {
-  runtime::MpscRingQueue<int> queue(4);
-  std::vector<int> items;
-  for (int i = 0; i < 100; ++i) items.push_back(i);
+TEST(SyncTest, MpscQueueRunsHonorCapacityBackpressure) {
+  // Items of 1..4 units through a 4-unit queue: a run is one slot.
+  runtime::MpscRingQueue<std::vector<int>> queue(4, /*drain_budget_ns=*/1000);
+  queue.SetDrainCost(1);
 
   std::vector<int> received;
   std::thread consumer([&] {
-    std::vector<int> batch;
-    while (queue.PopBatch(&batch, 8) > 0) {
-      received.insert(received.end(), batch.begin(), batch.end());
+    std::vector<int> run;
+    while (queue.Pop(&run)) {
+      received.insert(received.end(), run.begin(), run.end());
+      run.clear();  // goes back to the ring for the producer to reuse
     }
   });
 
-  EXPECT_EQ(queue.PushAll(&items), 100u);
+  std::vector<int> run;
+  for (int i = 0, len = 1; i < 100; i += len, len = len % 4 + 1) {
+    run.clear();
+    for (int k = i; k < std::min(i + len, 100); ++k) run.push_back(k);
+    ASSERT_TRUE(queue.Push(&run, run.size()));
+    EXPECT_TRUE(run.empty());  // handed back emptied, never a live run
+  }
   queue.Close();
   consumer.join();
 
-  // Single producer: FIFO order must survive the batched consumer.
+  // Single producer: FIFO order must survive.
   ASSERT_EQ(received.size(), 100u);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(received[static_cast<size_t>(i)], i);

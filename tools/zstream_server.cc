@@ -14,6 +14,11 @@
 //
 //   zstream_server listening on 127.0.0.1:41873 (shards=2, ...)
 //
+// --queue-capacity N is each shard queue's hard bound in queued events
+// (default 4096): its memory bound, and where --drop-policy drop drops.
+// Under the default block policy, ingest waits earlier, once a shard
+// queue holds about 1 ms of work at the worker's measured cost per event.
+//
 // --metrics-port N opens the HTTP observability side port (GET
 // /metrics, /metrics.json, /healthz); 0 picks an ephemeral port. The
 // bound port is printed on its own line, which scripts parse:
@@ -61,7 +66,9 @@ int Usage(const char* argv0) {
       "          [--reorder-slack N] [--metrics-port N]\n"
       "          [--slow-event-ms N] [--trace-sample N]\n"
       "          [--trace-ring-mb N] [--trace-dump-dir DIR]\n"
-      "          [--ddl \"STATEMENT\"]...\n",
+      "          [--ddl \"STATEMENT\"]...\n"
+      "  --queue-capacity N  per-shard hard bound in queued events (4096);\n"
+      "                      blocking ingest waits at ~1 ms of queued work\n",
       argv0);
   return 2;
 }
