@@ -54,28 +54,29 @@ bool Value::operator==(const Value& other) const {
   return false;
 }
 
+size_t HashNumericValue(double d) {
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  // Normalize -0.0 to 0.0.
+  if (d == 0.0) bits = 0;
+  bits ^= bits >> 33;
+  bits *= 0xff51afd7ed558ccdULL;
+  bits ^= bits >> 33;
+  return static_cast<size_t>(bits);
+}
+
 size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
-      return 0x9e3779b97f4a7c15ULL;
+      return HashNullValue();
     case ValueType::kBool:
-      return bool_value() ? 0x2545f4914f6cdd1dULL : 0x853c49e6748fea9bULL;
+      return HashBoolValue(bool_value());
     case ValueType::kInt64:
-    case ValueType::kDouble: {
-      // Hash through double so 3 and 3.0 collide (they compare equal).
-      const double d = AsDouble();
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      // Normalize -0.0 to 0.0.
-      if (d == 0.0) bits = 0;
-      bits ^= bits >> 33;
-      bits *= 0xff51afd7ed558ccdULL;
-      bits ^= bits >> 33;
-      return static_cast<size_t>(bits);
-    }
+    case ValueType::kDouble:
+      return HashNumericValue(AsDouble());
     case ValueType::kString:
-      return std::hash<std::string>()(string_value());
+      return HashStringValue(string_value());
   }
   return 0;
 }

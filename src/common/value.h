@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/result.h"
@@ -71,7 +72,9 @@ class Value {
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
-  /// Hash consistent with operator== (numeric 3 == numeric 3.0).
+  /// Hash consistent with operator== (numeric 3 == numeric 3.0): one
+  /// of the per-type hashes below, which a reader of encoded values
+  /// (event/row_codec.h) calls without building a Value.
   size_t Hash() const;
 
   std::string ToString() const;
@@ -79,6 +82,19 @@ class Value {
  private:
   std::variant<std::monostate, bool, int64_t, double, std::string> rep_;
 };
+
+// The per-type halves of Value::Hash.
+inline size_t HashNullValue() { return 0x9e3779b97f4a7c15ULL; }
+inline size_t HashBoolValue(bool b) {
+  return b ? 0x2545f4914f6cdd1dULL : 0x853c49e6748fea9bULL;
+}
+/// int64 and double both hash through the double, so 3 and 3.0 collide
+/// (they compare equal); -0.0 hashes as 0.0.
+size_t HashNumericValue(double d);
+/// Equals std::hash<std::string> of the same bytes.
+inline size_t HashStringValue(std::string_view s) {
+  return std::hash<std::string_view>()(s);
+}
 
 struct ValueHasher {
   size_t operator()(const Value& v) const { return v.Hash(); }

@@ -1,7 +1,6 @@
 #include "net/protocol.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/macros.h"
@@ -11,20 +10,10 @@ namespace zstream::net {
 
 namespace {
 
-uint16_t LoadU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0]) |
-         static_cast<uint16_t>(static_cast<uint16_t>(p[1]) << 8);
-}
-
 uint32_t LoadU32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) |
          (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t LoadU64(const uint8_t* p) {
-  return static_cast<uint64_t>(LoadU32(p)) |
-         (static_cast<uint64_t>(LoadU32(p + 4)) << 32);
 }
 
 /// Rebuilds a Status with the given code (the inverse of the factory
@@ -85,150 +74,8 @@ bool IsValidMsgType(uint8_t raw) {
 }
 
 // ---------------------------------------------------------------------
-// Primitive encoding
+// Schema rows, event batches, matches
 // ---------------------------------------------------------------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  PutU8(out, static_cast<uint8_t>(v));
-  PutU8(out, static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  PutU16(out, static_cast<uint16_t>(v));
-  PutU16(out, static_cast<uint16_t>(v >> 16));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-Status PayloadReader::Truncated(const char* what) const {
-  return Status::ParseError(std::string("truncated payload: expected ") +
-                            what)
-      .WithErrorCode(errc::kNetTruncatedPayload);
-}
-
-Result<uint8_t> PayloadReader::ReadU8() {
-  if (remaining() < 1) return Truncated("u8");
-  return static_cast<uint8_t>(data_[pos_++]);
-}
-
-Result<uint16_t> PayloadReader::ReadU16() {
-  if (remaining() < 2) return Truncated("u16");
-  const uint16_t v =
-      LoadU16(reinterpret_cast<const uint8_t*>(data_.data()) + pos_);
-  pos_ += 2;
-  return v;
-}
-
-Result<uint32_t> PayloadReader::ReadU32() {
-  if (remaining() < 4) return Truncated("u32");
-  const uint32_t v =
-      LoadU32(reinterpret_cast<const uint8_t*>(data_.data()) + pos_);
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> PayloadReader::ReadU64() {
-  if (remaining() < 8) return Truncated("u64");
-  const uint64_t v =
-      LoadU64(reinterpret_cast<const uint8_t*>(data_.data()) + pos_);
-  pos_ += 8;
-  return v;
-}
-
-Result<int64_t> PayloadReader::ReadI64() {
-  ZS_ASSIGN_OR_RETURN(uint64_t v, ReadU64());
-  return static_cast<int64_t>(v);
-}
-
-Result<double> PayloadReader::ReadF64() {
-  ZS_ASSIGN_OR_RETURN(uint64_t v, ReadU64());
-  return std::bit_cast<double>(v);
-}
-
-Result<std::string> PayloadReader::ReadString() {
-  ZS_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
-  if (remaining() < len) return Truncated("string bytes");
-  std::string s(data_.substr(pos_, len));
-  pos_ += len;
-  return s;
-}
-
-Status PayloadReader::ExpectEnd() const {
-  if (AtEnd()) return Status::OK();
-  return Status::ParseError("trailing bytes after payload")
-      .WithErrorCode(errc::kNetTruncatedPayload);
-}
-
-// ---------------------------------------------------------------------
-// Values, schema rows, events, matches
-// ---------------------------------------------------------------------
-
-void AppendValue(std::string* out, const Value& v) {
-  PutU8(out, static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kBool:
-      PutU8(out, v.bool_value() ? 1 : 0);
-      break;
-    case ValueType::kInt64:
-      PutI64(out, v.int64_value());
-      break;
-    case ValueType::kDouble:
-      PutF64(out, v.double_value());
-      break;
-    case ValueType::kString:
-      PutString(out, v.string_value());
-      break;
-  }
-}
-
-Result<Value> ReadValue(PayloadReader* in) {
-  ZS_ASSIGN_OR_RETURN(uint8_t tag, in->ReadU8());
-  switch (static_cast<ValueType>(tag)) {
-    case ValueType::kNull:
-      return Value::Null();
-    case ValueType::kBool: {
-      ZS_ASSIGN_OR_RETURN(uint8_t b, in->ReadU8());
-      return Value(b != 0);
-    }
-    case ValueType::kInt64: {
-      ZS_ASSIGN_OR_RETURN(int64_t v, in->ReadI64());
-      return Value(v);
-    }
-    case ValueType::kDouble: {
-      ZS_ASSIGN_OR_RETURN(double v, in->ReadF64());
-      return Value(v);
-    }
-    case ValueType::kString: {
-      ZS_ASSIGN_OR_RETURN(std::string s, in->ReadString());
-      return Value(std::move(s));
-    }
-  }
-  return Status::ParseError("unknown value type tag " +
-                            std::to_string(tag))
-      .WithErrorCode(errc::kNetTruncatedPayload);
-}
 
 void AppendSchema(std::string* out, const Schema& schema) {
   PutU32(out, static_cast<uint32_t>(schema.num_fields()));
@@ -262,43 +109,6 @@ Result<SchemaPtr> ReadSchema(PayloadReader* in) {
   return Schema::Make(std::move(fields));
 }
 
-void AppendEvent(std::string* out, const Event& event) {
-  PutI64(out, event.timestamp());
-  PutU16(out, static_cast<uint16_t>(event.values().size()));
-  for (const Value& v : event.values()) AppendValue(out, v);
-}
-
-Result<EventPtr> ReadEvent(PayloadReader* in, const SchemaPtr& schema) {
-  ZS_ASSIGN_OR_RETURN(int64_t ts, in->ReadI64());
-  if (!IsValidEventTimestamp(ts)) {
-    return Status::ParseError("event timestamp " + std::to_string(ts) +
-                              " outside the valid range +/-2^62")
-        .WithErrorCode(errc::kNetBadTimestamp);
-  }
-  ZS_ASSIGN_OR_RETURN(uint16_t count, in->ReadU16());
-  if (static_cast<int>(count) != schema->num_fields()) {
-    return Status::SemanticError(
-               "event carries " + std::to_string(count) +
-               " values, stream schema has " +
-               std::to_string(schema->num_fields()) + " fields")
-        .WithErrorCode(errc::kNetSchemaMismatch);
-  }
-  std::vector<Value> values;
-  values.reserve(count);
-  for (uint16_t i = 0; i < count; ++i) {
-    ZS_ASSIGN_OR_RETURN(Value v, ReadValue(in));
-    if (!v.is_null() && v.type() != schema->field(i).type) {
-      return Status::SemanticError(
-                 "field '" + schema->field(i).name + "' expects " +
-                 ValueTypeName(schema->field(i).type) + ", got " +
-                 ValueTypeName(v.type()))
-          .WithErrorCode(errc::kNetSchemaMismatch);
-    }
-    values.push_back(std::move(v));
-  }
-  return EventPtr(std::make_shared<Event>(schema, std::move(values), ts));
-}
-
 void AppendEventBatch(std::string* out, std::string_view stream,
                       const std::vector<EventPtr>& events, size_t from,
                       size_t count, uint64_t trace_id) {
@@ -312,6 +122,10 @@ void AppendMatch(std::string* out, std::string_view query,
                  const Match& match, uint64_t trace_id) {
   PutString(out, query);
   PutU64(out, trace_id);
+  AppendMatchBody(out, match);
+}
+
+void AppendMatchBody(std::string* out, const Match& match) {
   PutI64(out, match.span.start);
   PutI64(out, match.span.end);
   PutU32(out, static_cast<uint32_t>(match.slots.size()));

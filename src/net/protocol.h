@@ -13,10 +13,13 @@
 // host order; doubles travel as the LE bytes of their IEEE-754 bit
 // pattern — the serialization is endian-stable by construction, never
 // by memcpy of host representations. Strings are a u32 length followed
-// by raw bytes. Frame payloads are bounded (kMaxFramePayload, and a
-// lower per-connection limit if the server configures one); a peer that
-// announces a larger frame gets a coded error and the oversized payload
-// is skipped, so one bad frame never kills the connection.
+// by raw bytes. Values and event rows use the row codec of
+// event/row_codec.h, which the runtime shares: the server hands a
+// batch's rows to the runtime still encoded. Frame payloads are bounded
+// (kMaxFramePayload, and a lower per-connection limit if the server
+// configures one); a peer that announces a larger frame gets a coded
+// error and the oversized payload is skipped, so one bad frame never
+// kills the connection.
 //
 // Message catalogue (direction, payload):
 //
@@ -45,8 +48,9 @@
 // parser refuses them like any unassigned type (ZS-N0002 unknown type,
 // payload skipped, connection kept). Counters are read from kMetrics.
 //
-// This header is the single source of truth for the layout; see
-// docs/protocol.md for the prose version.
+// This header (with event/row_codec.h for values and rows) is the
+// single source of truth for the layout; see docs/protocol.md for the
+// prose version.
 #ifndef ZSTREAM_NET_PROTOCOL_H_
 #define ZSTREAM_NET_PROTOCOL_H_
 
@@ -62,6 +66,7 @@
 #include "common/status.h"
 #include "common/value.h"
 #include "event/event.h"
+#include "event/row_codec.h"
 #include "exec/engine.h"
 
 namespace zstream::net {
@@ -124,62 +129,30 @@ struct FrameHeader {
 };
 
 // ---------------------------------------------------------------------
-// Primitive wire encoding (append to a std::string buffer)
+// Primitive encoding, values and event rows: the row codec
+// (event/row_codec.h), which the runtime shares.
 // ---------------------------------------------------------------------
 
-void PutU8(std::string* out, uint8_t v);
-void PutU16(std::string* out, uint16_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutI64(std::string* out, int64_t v);
-void PutF64(std::string* out, double v);
-void PutString(std::string* out, std::string_view s);
-
-/// \brief Bounds-checked cursor over one frame payload. Every getter
-/// fails with a ZS-N0004 ParseError instead of reading past the end, so
-/// truncated payloads surface as coded errors.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view payload) : data_(payload) {}
-
-  Result<uint8_t> ReadU8();
-  Result<uint16_t> ReadU16();
-  Result<uint32_t> ReadU32();
-  Result<uint64_t> ReadU64();
-  Result<int64_t> ReadI64();
-  Result<double> ReadF64();
-  Result<std::string> ReadString();
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
-  /// ParseError when trailing bytes remain (strict decoders call this
-  /// last).
-  Status ExpectEnd() const;
-
- private:
-  Status Truncated(const char* what) const;
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
+using codec::AppendEvent;
+using codec::AppendValue;
+using codec::PayloadReader;
+using codec::PutF64;
+using codec::PutI64;
+using codec::PutString;
+using codec::PutU16;
+using codec::PutU32;
+using codec::PutU64;
+using codec::PutU8;
+using codec::ReadEvent;
+using codec::ReadValue;
 
 // ---------------------------------------------------------------------
-// Values, schema rows, events, matches
+// Schema rows, event batches, matches
 // ---------------------------------------------------------------------
-
-void AppendValue(std::string* out, const Value& v);
-Result<Value> ReadValue(PayloadReader* in);
 
 /// Schema rows: u32 field count, then {string name, u8 ValueType}.
 void AppendSchema(std::string* out, const Schema& schema);
 Result<SchemaPtr> ReadSchema(PayloadReader* in);
-
-/// One event row: i64 timestamp, u16 value count, values.
-void AppendEvent(std::string* out, const Event& event);
-/// Decodes one event row against `schema`: the value count must equal
-/// the schema's field count and every non-null value must carry the
-/// declared type (ZS-N0006 otherwise).
-Result<EventPtr> ReadEvent(PayloadReader* in, const SchemaPtr& schema);
 
 /// kEventBatch payload: string stream name, u64 trace id (0 =
 /// unsampled batch), u32 count, event rows.
@@ -199,8 +172,14 @@ struct NetMatch {
   OwnedMatch match;
 };
 
+/// kMatch payload: string query name, u64 trace id, then the match body
+/// (AppendMatchBody).
 void AppendMatch(std::string* out, std::string_view query,
                  const Match& match, uint64_t trace_id = 0);
+/// The match body: i64 span start and end, u32 slot count, per slot a
+/// u8 presence byte and the event row when present, then a u8 group
+/// presence byte and, when present, a u32 count and the group's rows.
+void AppendMatchBody(std::string* out, const Match& match);
 Result<NetMatch> ReadMatch(PayloadReader* in, const SchemaPtr& schema);
 
 // ---------------------------------------------------------------------

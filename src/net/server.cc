@@ -86,11 +86,23 @@ struct Server::HttpConnection {
 // ---------------------------------------------------------------------
 
 void Server::FanoutSink::Publish(runtime::RuntimeMatch&& match) {
-  runtime::OwnedRuntimeMatch kept(match);  // copied outside the lock
+  // Encoded on the publishing worker, outside the lock.
+  thread_local std::string body;
+  thread_local std::vector<int64_t> key;
+  body.clear();
+  AppendMatchBody(&body, match.match);
+  key.clear();
+  runtime::AppendMatchSortKey(match.match, &key);
   bool signal = false;
   {
     zs::MutexLock lock(mu_);
-    pending_.push_back(std::move(kept));
+    Batch& batch = pending_;
+    batch.entries.push_back(Entry{
+        match.query, match.trace_id, batch.keys.size(),
+        batch.keys.size() + key.size(), batch.bodies.size(),
+        batch.bodies.size() + body.size()});
+    batch.keys.insert(batch.keys.end(), key.begin(), key.end());
+    batch.bodies += body;
     if (!signaled_) {
       signaled_ = true;
       signal = true;
@@ -555,7 +567,6 @@ void Server::HandleDdl(Connection* conn, const std::string& text) {
 
 void Server::HandleEventBatch(Connection* conn,
                               const std::string& payload) {
-  const uint64_t decode_t0 = obs::MonotonicNanos();
   PayloadReader reader(payload);
   std::string stream_name;
   uint64_t trace_id = 0;
@@ -584,39 +595,29 @@ void Server::HandleEventBatch(Connection* conn,
     return;
   }
   const auto stream_id = runtime_->stream(stream_name);
-  const auto schema = session_->catalog().stream(stream_name);
-  if (!stream_id.ok() || !schema.ok()) {
+  if (!stream_id.ok() || !session_->catalog().stream(stream_name).ok()) {
     SendError(conn, Status::NotFound("no stream named '" + stream_name +
                                      "'")
                         .WithErrorCode(errc::kCatalogUnknownStream));
     return;
   }
-  std::vector<EventPtr> events;
-  events.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    auto event = ReadEvent(&reader, *schema);
-    if (!event.ok()) {
-      // Nothing from a malformed batch is ingested (decode-then-ingest,
-      // so a truncated tail cannot leave a half-applied batch behind).
-      SendError(conn, event.status());
-      return;
-    }
-    events.push_back(std::move(*event));
-  }
-  if (Status end = reader.ExpectEnd(); !end.ok()) {
-    SendError(conn, end);
+  // The rows stay bytes on this thread: the runtime checks every row
+  // (a malformed one refuses the whole batch, so nothing from it is
+  // ingested) and routes it by key hashes read from the bytes; the
+  // shard worker that runs a row decodes it.
+  const auto dropped = runtime_->IngestRows(
+      *stream_id,
+      std::string_view(payload).substr(payload.size() - reader.remaining()),
+      count, trace_id);
+  if (!dropped.ok()) {
+    SendError(conn, dropped.status());
     return;
   }
-  obs::TraceRecord(0, obs::SpanKind::kWireDecode, trace_id, decode_t0,
-                   obs::MonotonicNanos(), stream_name.c_str(), count);
-  const uint64_t dropped =
-      runtime_->IngestBatch(*stream_id, events, trace_id);
-  const uint64_t accepted =
-      dropped >= events.size() ? 0 : events.size() - dropped;
+  const uint64_t accepted = *dropped >= count ? 0 : count - *dropped;
   std::string ack;
   PutU64(&ack, accepted);
-  PutU64(&ack, dropped);
-  Send(conn, MsgType::kIngestAck, dropped > 0 ? kFlagThrottle : 0, ack);
+  PutU64(&ack, *dropped);
+  Send(conn, MsgType::kIngestAck, *dropped > 0 ? kFlagThrottle : 0, ack);
 }
 
 void Server::HandleSubscribe(Connection* conn, const std::string& payload) {
@@ -705,25 +706,35 @@ void Server::HandleFlush(Connection* conn) {
 // ---------------------------------------------------------------------
 
 void Server::DrainMatches() {
-  std::vector<runtime::OwnedRuntimeMatch> pending;
+  FanoutSink::Batch& batch = drained_;
   {
     zs::MutexLock lock(sink_.mu_);
     sink_.signaled_ = false;
-    pending.swap(sink_.pending_);
+    std::swap(batch, sink_.pending_);
   }
-  if (pending.empty()) return;
+  if (batch.entries.empty()) return;
   // Deterministic delivery order within the drained batch: the shared
-  // order of CollectingMatchSink::Take.
-  std::sort(pending.begin(), pending.end(), runtime::RuntimeMatchLess);
+  // order of CollectingMatchSink::Take (runtime::RuntimeMatchLess), read
+  // from the sort keys.
+  const int64_t* keys = batch.keys.data();
+  std::sort(batch.entries.begin(), batch.entries.end(),
+            [keys](const FanoutSink::Entry& a, const FanoutSink::Entry& b) {
+              if (a.query != b.query) return a.query < b.query;
+              return std::lexicographical_compare(
+                  keys + a.key_begin, keys + a.key_end, keys + b.key_begin,
+                  keys + b.key_end);
+            });
   // Queue every frame first and flush each connection once: one
   // send() per subscriber per drain, not per match.
   std::string payload;
-  for (const runtime::OwnedRuntimeMatch& m : pending) {
+  for (const FanoutSink::Entry& m : batch.entries) {
     const auto served = served_.find(m.query);
     if (served == served_.end()) continue;  // dropped query
     const std::string& name = served->second.name;
     payload.clear();
-    AppendMatch(&payload, name, m.match, m.trace_id);
+    PutString(&payload, name);
+    PutU64(&payload, m.trace_id);
+    payload.append(batch.bodies, m.body_begin, m.body_end - m.body_begin);
     const uint64_t fanout_t0 =
         m.trace_id != 0 ? obs::MonotonicNanos() : 0;
     uint64_t fanned = 0;
@@ -739,6 +750,7 @@ void Server::DrainMatches() {
                        fanned);
     }
   }
+  batch.Clear();
   for (auto& [fd, conn] : connections_) {
     if (!conn->closing && conn->out.size() > conn->out_off) {
       FlushWrites(conn.get());

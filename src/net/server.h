@@ -3,20 +3,32 @@
 //
 //   clients --TCP--> poll loop --DDL--> ZStream session (catalog)
 //                        |       \----> StreamRuntime registration
-//                        |--event batches--> StreamRuntime::IngestBatch
-//                        |<-- match fanout -- shard workers (MatchSink)
+//                        |--rows (bytes)--> StreamRuntime::IngestRows
+//                        |<-- matches (bytes) -- shard workers (FanoutSink)
 //
 // One poll-loop thread owns every connection (non-blocking sockets,
 // incremental FrameParser per connection, buffered writes), so the
-// session and the query registry need no locking; the only cross-thread
-// channel is the match sink, which shard workers fill and a self-pipe
-// wakes the poll loop to drain. Matches are delivered in the
-// CollectingMatchSink order (runtime::RuntimeMatchLess) within each
-// drained batch, and everything produced by events ingested before a
-// kFlush is delivered before that flush's kFlushAck.
+// session and the query registry need no locking. Both channels between
+// the poll loop and the shard workers carry bytes, never events:
+//
+//   - In: an EVENT_BATCH's rows go to the runtime still encoded. The
+//     runtime checks every row (the checks and ZS- codes of ReadEvent;
+//     a malformed row refuses the whole batch, so nothing from it is
+//     ingested) and routes it by key hashes read from its bytes; the
+//     shard worker that runs a row decodes it. An event is built, read
+//     and freed on that one core.
+//   - Out: a worker publishing a match encodes it straight from the
+//     borrowed view into the MATCH body plus a sort key (FanoutSink); a
+//     self-pipe wakes the poll loop, which sorts the bytes by key,
+//     prefixes the query name and trace id, and queues the frames.
+//
+// Matches are delivered in the CollectingMatchSink order
+// (runtime::RuntimeMatchLess) within each drained batch, and everything
+// produced by events ingested before a kFlush is delivered before that
+// flush's kFlushAck.
 //
 // Backpressure: under BackpressurePolicy::kBlock a full shard queue
-// blocks the poll loop inside Ingest, which stops reads and lets the
+// blocks the poll loop inside IngestRows, which stops reads and lets the
 // TCP window throttle every producer. Under kDropNewest the runtime
 // drops and counts; the kIngestAck then carries the drop count with
 // kFlagThrottle set — the protocol-level flow-control signal.
@@ -106,9 +118,11 @@ class Server {
   struct Connection;
   struct HttpConnection;
 
-  /// Thread-safe match funnel: shard workers publish (each match copied
-  /// once into an owning queue entry), the poll loop drains (woken
-  /// through the self-pipe).
+  /// Thread-safe match funnel. The shard worker that publishes a match
+  /// encodes it straight from the borrowed view into bytes (the kMatch
+  /// body) plus a compact sort key (runtime::AppendMatchSortKey); the
+  /// poll loop, woken through the self-pipe, takes the bytes, sorts
+  /// them by key and frames them. No event crosses to the poll thread.
   class FanoutSink : public runtime::MatchSink {
    public:
     explicit FanoutSink(Server* server) : server_(server) {}
@@ -116,10 +130,34 @@ class Server {
 
    private:
     friend class Server;
+    /// One published match: its body is bodies[body_begin, body_end)
+    /// and its sort key keys[key_begin, key_end) of the batch.
+    struct Entry {
+      runtime::QueryId query = 0;
+      uint64_t trace_id = 0;
+      size_t key_begin = 0;
+      size_t key_end = 0;
+      size_t body_begin = 0;
+      size_t body_end = 0;
+    };
+    /// Published matches as bytes. Swapped whole between the sink and
+    /// the poll loop, so both sides reuse its capacity.
+    struct Batch {
+      std::string bodies;
+      std::vector<int64_t> keys;
+      std::vector<Entry> entries;
+
+      void Clear() {
+        bodies.clear();
+        keys.clear();
+        entries.clear();
+      }
+    };
+
     Server* server_;
     zs::Mutex mu_;
     bool signaled_ ZS_GUARDED_BY(mu_) = false;
-    std::vector<runtime::OwnedRuntimeMatch> pending_ ZS_GUARDED_BY(mu_);
+    Batch pending_ ZS_GUARDED_BY(mu_);
   };
 
   /// One served query: its catalog name, stream and the stream's schema.
@@ -186,6 +224,8 @@ class Server {
   int wake_write_fd_ = -1;
 
   FanoutSink sink_{this};
+  /// Poll-thread-owned: the batch DrainMatches took from the sink.
+  FanoutSink::Batch drained_;
   std::unique_ptr<runtime::StreamRuntime> runtime_;
 
   /// Poll-thread-owned state (no locks: one thread).

@@ -67,6 +67,8 @@ const char* SpanKindName(SpanKind kind) {
       return "replan";
     case SpanKind::kPlanSwitch:
       return "plan_switch";
+    case SpanKind::kRowDecode:
+      return "row_decode";
     case SpanKind::kNumKinds:
       break;
   }

@@ -49,7 +49,7 @@ namespace zstream::obs {
 /// per-kind reconciliation counters tests assert on.
 enum class SpanKind : uint8_t {
   kIngest = 0,     // client-side batch assembly + send
-  kWireDecode,     // server frame payload decode
+  kWireDecode,     // server batch validate + route (rows stay encoded)
   kQueueWait,      // shard MPSC queue residency (enqueue -> dequeue)
   kExec,           // one engine assembly round (whole batch iterator)
   kOperator,       // one physical operator evaluation within a round
@@ -58,6 +58,7 @@ enum class SpanKind : uint8_t {
   kDeliver,        // client-side match delivery
   kReplan,         // one adaptive replan evaluation
   kPlanSwitch,     // an installed plan change
+  kRowDecode,      // shard worker decode of one run's wire rows
   kNumKinds,       // sentinel, not a span kind
 };
 

@@ -1,6 +1,7 @@
 #include "runtime/match_sink.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace zstream::runtime {
@@ -55,6 +56,22 @@ bool MatchLess(const Match& a, const Match& b) {
       [](const EventPtr& x, const EventPtr& y) {
         return CompareEvent(x, y) < 0;
       });
+}
+
+void AppendMatchSortKey(const Match& match, std::vector<int64_t>* key) {
+  constexpr int64_t kAbsent = std::numeric_limits<int64_t>::min();
+  const auto stamp = [](const EventPtr& e) {
+    return e != nullptr ? e->timestamp() : kAbsent;
+  };
+  key->push_back(match.span.start);
+  key->push_back(match.span.end);
+  for (const EventPtr& slot : match.slots) key->push_back(stamp(slot));
+  if (match.group != nullptr) {
+    // Present-but-empty sorts after absent: the marker makes the key
+    // longer than the slots alone.
+    key->push_back(0);
+    for (const EventPtr& e : *match.group) key->push_back(stamp(e));
+  }
 }
 
 bool RuntimeMatchLess(const OwnedRuntimeMatch& a,

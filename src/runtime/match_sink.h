@@ -62,6 +62,15 @@ std::string CanonicalMatchKey(const Match& match);
 /// interleaving.
 bool MatchLess(const Match& a, const Match& b);
 
+/// Appends the compact sort key of a match: span start, span end, each
+/// slot's timestamp (an absent slot as INT64_MIN, below every event
+/// timestamp), then, when the match has a Kleene group, a marker word
+/// and the group's timestamps. For matches of one query (one slot
+/// count), comparing keys lexicographically orders exactly as MatchLess
+/// does, so a consumer that keeps matches as bytes (the network
+/// server's fanout) sorts them without keeping the events.
+void AppendMatchSortKey(const Match& match, std::vector<int64_t>* key);
+
 /// The deterministic delivery order — query, then MatchLess — shared by
 /// CollectingMatchSink::Take and the network server's match fanout, so
 /// "ordered" means the same thing in-process and over the wire.

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 
 #include "common/sync.h"
+#include "event/row_codec.h"
 #include "exec/reorder.h"
 #include "obs/trace.h"
 #include "runtime/mpsc_queue.h"
@@ -114,7 +116,8 @@ struct StreamRuntime::QueryState {
   std::vector<std::unique_ptr<EngineCore>> engines;  // [shard] or null
 };
 
-/// One queue slot: a run of events or a control message.
+/// One queue slot: a run of events (built, or wire rows still encoded)
+/// or a control message.
 struct StreamRuntime::ShardMsg {
   enum class Kind : char {
     kEvents,
@@ -130,8 +133,14 @@ struct StreamRuntime::ShardMsg {
   /// kEvents: the field every entry of `key_hashes` hashes; -1: none.
   int hashed_field = -1;
   /// kEvents: one ingest call's events for this shard, in order — a run.
+  /// A run of wire rows arrives empty and the worker decodes into it.
   std::vector<EventPtr> events;
-  /// kEvents: the router's key hashes, parallel to `events` (see
+  /// kEvents from IngestRows: the run's rows, still encoded (row codec),
+  /// and the end offset of each in `rows`. A run carries events or rows,
+  /// never both.
+  std::string rows;
+  std::vector<uint32_t> row_ends;
+  /// kEvents: the router's key hashes, one per event or row (see
   /// ShardOf); empty when `hashed_field` is -1.
   std::vector<size_t> key_hashes;
   /// kEvents: MonotonicNanos at the ingest call — the start of the
@@ -143,14 +152,56 @@ struct StreamRuntime::ShardMsg {
   uint64_t trace_id = 0;
   std::shared_ptr<Control> control;
 
-  /// Cuts the run to its first `n` events.
+  /// Events (or rows) in the run: its queue units.
+  size_t size() const { return events.size() + row_ends.size(); }
+
+  void AppendRow(std::string_view row) {
+    rows.append(row);
+    row_ends.push_back(static_cast<uint32_t>(rows.size()));
+  }
+
+  /// Cuts the run to its first `n` (>= 1) events or rows.
   void KeepFirst(size_t n) {
-    events.resize(n);
+    if (row_ends.empty()) {
+      events.resize(n);
+    } else {
+      rows.resize(row_ends[n - 1]);
+      row_ends.resize(n);
+    }
     if (!key_hashes.empty()) key_hashes.resize(n);
   }
-  /// Empties the slot for reuse; the vectors keep their capacity.
+
+  /// Makes this slot the events (or rows) [first, last) of `run`: one
+  /// chunk of a run bigger than the whole queue.
+  void CopyRange(const ShardMsg& run, size_t first, size_t last) {
+    kind = run.kind;
+    stream = run.stream;
+    hashed_field = run.hashed_field;
+    arrival_ns = run.arrival_ns;
+    trace_id = run.trace_id;
+    const auto from = static_cast<std::ptrdiff_t>(first);
+    const auto to = static_cast<std::ptrdiff_t>(last);
+    if (run.row_ends.empty()) {
+      events.assign(run.events.begin() + from, run.events.begin() + to);
+    } else {
+      const uint32_t base = first == 0 ? 0 : run.row_ends[first - 1];
+      rows.assign(run.rows, base, run.row_ends[last - 1] - base);
+      row_ends.clear();
+      for (size_t i = first; i < last; ++i) {
+        row_ends.push_back(run.row_ends[i] - base);
+      }
+    }
+    if (!run.key_hashes.empty()) {
+      key_hashes.assign(run.key_hashes.begin() + from,
+                        run.key_hashes.begin() + to);
+    }
+  }
+
+  /// Empties the slot for reuse; the buffers keep their capacity.
   void Clear() {
     events.clear();
+    rows.clear();
+    row_ends.clear();
     key_hashes.clear();
     control.reset();
   }
@@ -201,6 +252,10 @@ struct StreamRuntime::Shard {
     queue.SetDrainCost(
         std::max<uint64_t>(1, std::llround(drain_ns_per_event)));
   }
+
+  // Worker-thread-local: the schema of each stream this worker decoded
+  // rows of, by StreamId (an id's schema never changes).
+  std::vector<SchemaPtr> schemas;
 
   // Worker-thread-local scratch for DispatchRun: the span a reorder
   // stage released, and the per-query filtered subset for hash-routed
@@ -284,12 +339,14 @@ void StreamRuntime::Stop() {
 // Worker loop
 // ---------------------------------------------------------------------
 
+template <typename HashOf>
 ZS_HOT int StreamRuntime::ShardOf(int key_field, int pinned_shard,
-                                  const Event& event, KeyHint* hint) const {
+                                  KeyHint* hint,
+                                  const HashOf& hash_of) const {
   if (key_field < 0) return pinned_shard;
   if (hint->field != key_field) {
     hint->field = key_field;
-    hint->hash = event.value(key_field).Hash();
+    hint->hash = hash_of(key_field);
   }
   return static_cast<int>(hint->hash % shards_.size());
 }
@@ -315,7 +372,9 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, StreamId stream,
     for (size_t i = 0; i < events.size(); ++i) {
       KeyHint hint = hashed_field >= 0 ? KeyHint{hashed_field, hashes[i]}
                                        : KeyHint{};
-      if (ShardOf(q->key_field, q->pinned_shard, *events[i], &hint) ==
+      const Event& event = *events[i];
+      if (ShardOf(q->key_field, q->pinned_shard, &hint,
+                  [&event](int field) { return event.value(field).Hash(); }) ==
           shard->index) {
         mine.push_back(events[i]);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
       }
@@ -323,6 +382,25 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, StreamId stream,
     if (!mine.empty()) {
       entry.engine->PushBatch(EventBatch{mine.data(), mine.size()});
     }
+  }
+}
+
+ZS_HOT void StreamRuntime::DecodeRows(Shard* shard, ShardMsg* run) {
+  std::vector<SchemaPtr>& schemas = shard->schemas;
+  const auto stream = static_cast<size_t>(run->stream);
+  if (schemas.size() <= stream) {
+    schemas.resize(stream + 1);  // zs-hotpath-allow(once per stream)
+  }
+  if (schemas[stream] == nullptr) schemas[stream] = *schema(run->stream);
+  const SchemaPtr& row_schema = schemas[stream];
+  codec::PayloadReader reader(run->rows);
+  for (size_t i = 0; i < run->row_ends.size(); ++i) {
+    // The router checked every row against this schema, so the decode
+    // cannot fail; a failure would only shorten the run.
+    Result<EventPtr> event = codec::ReadEvent(&reader, row_schema);
+    if (ZS_UNLIKELY(!event.ok())) break;
+    run->events.push_back(  // zs-hotpath-allow(amortized: run capacity recycled through the shard queue)
+        std::move(*event));
   }
 }
 
@@ -366,10 +444,11 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
     switch (msg.kind) {
       case ShardMsg::Kind::kEvents: {
         // A run: one ingest call's events for this shard, one arrival
-        // stamp and one trace id. It reaches the engines as one span,
+        // stamp and one trace id. Wire rows are decoded here, on the
+        // core that runs them. The run reaches the engines as one span,
         // directly or through the stream's reorder stage, and its wall
-        // time feeds the shard's drain estimate.
-        const size_t n = msg.events.size();
+        // time (decode included) feeds the shard's drain estimate.
+        const size_t n = msg.size();
         // Matches the run emits (including the reorder releases it
         // triggers) measure latency from its arrival.
         shard->last_arrival_ns = msg.arrival_ns;
@@ -381,6 +460,14 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
           obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kQueueWait,
                            msg.trace_id, msg.arrival_ns, start, nullptr,
                            static_cast<uint64_t>(shard->index));
+        }
+        if (!msg.row_ends.empty()) {
+          DecodeRows(shard, &msg);
+          if (msg.trace_id != 0) {
+            obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kRowDecode,
+                             msg.trace_id, start, obs::MonotonicNanos(),
+                             nullptr, n);
+          }
         }
         if (reordering) {
           // Released events lose their router key hashes: they may mix
@@ -525,6 +612,76 @@ bool StreamRuntime::Ingest(StreamId stream, const EventPtr& event) {
   return IngestBatch(stream, std::span<const EventPtr>(&event, 1)) == 0;
 }
 
+/// IngestBatch's input: built events. A null one is refused.
+struct StreamRuntime::EventItems {
+  std::span<const EventPtr> events;
+  Status error;  // never set: events need no checks
+
+  size_t size() const { return events.size(); }
+  void Begin(const StreamInfo&) {}
+  bool Read(size_t i) { return events[i] != nullptr; }
+  size_t KeyHash(size_t i, int field) const {
+    return events[i]->value(field).Hash();
+  }
+  void AppendTo(size_t i, ShardMsg* run) const {
+    run->events.push_back(events[i]);  // zs-hotpath-allow(amortized: run capacity recycled through the shard queue)
+  }
+  Status Finish() const { return Status::OK(); }
+  void Routed(const StreamInfo&, uint64_t) const {}
+};
+
+/// IngestRows' input: one wire batch's encoded rows, each checked and
+/// its key fields hashed as it is read; the bytes travel on as they are.
+struct StreamRuntime::RowItems {
+  codec::PayloadReader reader;
+  size_t count = 0;
+  uint64_t start_ns = 0;
+  /// Per-thread scratch, by field index: which fields some route keys
+  /// on, and the current row's hash of each such field.
+  std::vector<char>* is_key = nullptr;
+  std::vector<size_t>* field_hash = nullptr;
+  const Schema* schema = nullptr;
+  size_t row_begin = 0;  // the current row's first byte
+  Status error;          // the first malformed row's coded error
+
+  size_t size() const { return count; }
+  void Begin(const StreamInfo& info) {
+    schema = info.schema.get();
+    const auto fields = static_cast<size_t>(schema->num_fields());
+    is_key->assign(fields, 0);  // zs-hotpath-allow(per-thread scratch, capacity reused)
+    field_hash->resize(fields);  // zs-hotpath-allow(per-thread scratch, capacity reused)
+    for (const RouteEntry& route : info.routes) {
+      if (route.key_field >= 0) {
+        (*is_key)[static_cast<size_t>(route.key_field)] = 1;
+      }
+    }
+  }
+  bool Read(size_t) {
+    row_begin = reader.position();
+    const Result<Timestamp> ts = codec::ScanRow(
+        &reader, *schema, [this](int field, const codec::FieldView& value) {
+          const auto f = static_cast<size_t>(field);
+          if ((*is_key)[f] != 0) (*field_hash)[f] = value.Hash();
+        });
+    if (!ts.ok()) error = ts.status();
+    return ts.ok();
+  }
+  size_t KeyHash(size_t, int field) const {
+    return (*field_hash)[static_cast<size_t>(field)];
+  }
+  void AppendTo(size_t, ShardMsg* run) const {
+    run->AppendRow(reader.ConsumedSince(row_begin));
+  }
+  Status Finish() const { return reader.ExpectEnd(); }
+  void Routed(const StreamInfo& info, uint64_t trace_id) const {
+    if (trace_id != 0) {
+      obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kWireDecode,
+                       trace_id, start_ns, obs::MonotonicNanos(),
+                       info.name.c_str(), count);
+    }
+  }
+};
+
 uint64_t StreamRuntime::IngestBatch(StreamId stream,
                                     std::span<const EventPtr> events) {
   return IngestBatch(stream, events, obs::TraceSampleBatch());
@@ -533,7 +690,34 @@ uint64_t StreamRuntime::IngestBatch(StreamId stream,
 ZS_HOT uint64_t StreamRuntime::IngestBatch(StreamId stream,
                                            std::span<const EventPtr> events,
                                            uint64_t trace_id) {
-  if (stopped_.load(std::memory_order_relaxed)) return events.size();
+  EventItems items{events, {}};
+  // Events carry no checks that could fail, so Route returns drops.
+  return Route(stream, &items, trace_id).ValueOr(events.size());
+}
+
+ZS_HOT Result<uint64_t> StreamRuntime::IngestRows(StreamId stream,
+                                                  std::string_view rows,
+                                                  uint32_t count,
+                                                  uint64_t trace_id) {
+  if (rows.size() > std::numeric_limits<uint32_t>::max()) {
+    // Row ends are 32-bit offsets; a wire frame is at most 16 MiB.
+    return Status::InvalidArgument("row batch exceeds 4 GiB");
+  }
+  thread_local std::vector<char> is_key;
+  thread_local std::vector<size_t> field_hash;
+  RowItems items{.reader = codec::PayloadReader(rows),
+                 .count = count,
+                 .start_ns = obs::MonotonicNanos(),
+                 .is_key = &is_key,
+                 .field_hash = &field_hash};
+  return Route(stream, &items, trace_id);
+}
+
+template <typename Items>
+ZS_HOT Result<uint64_t> StreamRuntime::Route(StreamId stream, Items* items,
+                                             uint64_t trace_id) {
+  const size_t n = items->size();
+  if (stopped_.load(std::memory_order_relaxed)) return n;
   // One stamp per batch: latency for a batch's matches is measured from
   // the batch's enqueue, which is what a producer of that batch observes.
   const uint64_t arrival_ns = obs::MonotonicNanos();
@@ -544,39 +728,49 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(StreamId stream,
   if (staged.size() < shards_.size()) {
     staged.resize(shards_.size());  // zs-hotpath-allow(once per thread)
   }
+  const auto abandon = [&](const Status& error) -> Result<uint64_t> {
+    for (ShardMsg& run : staged) run.Clear();
+    return error;
+  };
   uint64_t refused = 0;
   {
     zs::ReaderMutexLock lock(route_mu_);
     if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
-      return events.size();
+      return n;
     }
-    const std::vector<RouteEntry>& routes =
-        streams_[static_cast<size_t>(stream)].routes;
-    for (const EventPtr& event : events) {
-      if (event == nullptr) {
+    const StreamInfo& info = streams_[static_cast<size_t>(stream)];
+    items->Begin(info);
+    for (size_t i = 0; i < n; ++i) {
+      if (!items->Read(i)) {
+        if (!items->error.ok()) return abandon(items->error);
         ++refused;
         continue;
       }
+      const auto hash_of = [items, i](int field) {
+        return items->KeyHash(i, field);
+      };
       uint64_t mask = 0;
       KeyHint hint;
-      for (const RouteEntry& route : routes) {
-        mask |= 1ULL << ShardOf(route.key_field, route.pinned_shard, *event,
-                                &hint);
+      for (const RouteEntry& route : info.routes) {
+        mask |= 1ULL << ShardOf(route.key_field, route.pinned_shard, &hint,
+                                hash_of);
       }
-      // The routes are the same for every event of the call, so the
+      // The routes are the same for every item of the call, so the
       // field the hint ends on is too: one hashed_field per run.
       for (size_t s = 0; mask != 0; ++s, mask >>= 1) {
         if ((mask & 1) == 0) continue;
         ShardMsg& run = staged[s];
-        run.events.push_back(event);  // zs-hotpath-allow(amortized: run capacity recycled through the shard queue)
+        items->AppendTo(i, &run);
         run.hashed_field = hint.field;
         if (hint.field >= 0) {
           run.key_hashes.push_back(hint.hash);  // zs-hotpath-allow(amortized: run capacity recycled through the shard queue)
         }
       }
     }
+    if (Status end = items->Finish(); !end.ok()) return abandon(end);
+    items->Routed(info, trace_id);
   }
-  const uint64_t accepted = events.size() - refused;
+  const uint64_t accepted = n - refused;
   events_ingested_.fetch_add(accepted, std::memory_order_relaxed);
   if (trace_id != 0) {
     events_traced_.fetch_add(accepted, std::memory_order_relaxed);
@@ -584,7 +778,7 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(StreamId stream,
   uint64_t drops = refused;
   for (size_t s = 0; s < shards_.size(); ++s) {
     ShardMsg& run = staged[s];
-    if (run.events.empty()) continue;
+    if (run.size() == 0) continue;
     run.kind = ShardMsg::Kind::kEvents;
     run.stream = stream;
     run.arrival_ns = arrival_ns;
@@ -596,7 +790,7 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(StreamId stream,
 
 ZS_HOT uint64_t StreamRuntime::EnqueueRun(Shard* shard, ShardMsg* run) {
   MpscRingQueue<ShardMsg>& queue = shard->queue;
-  const size_t n = run->events.size();
+  const size_t n = run->size();
   uint64_t dropped = 0;
   if (options_.backpressure == BackpressurePolicy::kDropNewest) {
     // Only the capacity drops: the events that do not fit are the tail.
@@ -610,24 +804,14 @@ ZS_HOT uint64_t StreamRuntime::EnqueueRun(Shard* shard, ShardMsg* run) {
     // Push falls short only when the runtime stopped.
     if (!queue.Push(run, n)) dropped = n;
   } else {
-    // Bigger than the whole queue: capacity-sized slots, in order.
+    // Bigger than the whole queue: capacity-sized slots, in order (only
+    // calls bigger than the whole queue copy; later chunks reuse the
+    // slot a push handed back).
     const size_t cap = queue.capacity();
     ShardMsg chunk;
     for (size_t at = 0; at < n && dropped == 0; at += cap) {
       const size_t len = std::min(cap, n - at);
-      const auto first = static_cast<std::ptrdiff_t>(at);
-      const auto last = static_cast<std::ptrdiff_t>(at + len);
-      chunk.kind = run->kind;
-      chunk.stream = run->stream;
-      chunk.hashed_field = run->hashed_field;
-      chunk.arrival_ns = run->arrival_ns;
-      chunk.trace_id = run->trace_id;
-      chunk.events.assign(  // zs-hotpath-allow(only calls bigger than the whole queue; later chunks reuse the slot a push handed back)
-          run->events.begin() + first, run->events.begin() + last);
-      if (!run->key_hashes.empty()) {
-        chunk.key_hashes.assign(  // zs-hotpath-allow(as for events)
-            run->key_hashes.begin() + first, run->key_hashes.begin() + last);
-      }
+      chunk.CopyRange(*run, at, at + len);
       if (!queue.Push(&chunk, len)) dropped = n - at;
       chunk.Clear();
     }

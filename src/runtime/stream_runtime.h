@@ -1,10 +1,10 @@
 // Concurrent streaming runtime: a sharded, multi-query server layer on
 // top of the single-threaded ZStream engines.
 //
-//   producers --> Ingest() --router--> shard queues --> shard workers
-//                                                          |  per-shard
-//                                                          |  engines
-//                                                          v
+//   producers --> IngestBatch() --router--> shard queues --> shard workers
+//   wire rows --> IngestRows() ---/                              |  per-shard
+//                                                                |  engines
+//                                                                v
 //                                          MatchSink (thread-safe, ordered)
 //
 // Each of N shards owns one worker thread, one bounded MPSC ring queue
@@ -16,11 +16,15 @@
 // query runs whole on one shard (assigned round-robin across queries,
 // so many queries still spread over all cores). Each ingest call's
 // events for a shard travel as one queue slot and reach the engines as
-// one run. A shard queue is bounded by drain time: a blocking producer
-// waits while the queue holds about 1 ms of the worker's measured work
-// (so detection latency is not a full queue's wait), and
-// queue_capacity events bound its memory. Backpressure is configurable:
-// block the producer, or drop-newest with per-shard drop counters.
+// one run. The server ingests a wire batch's rows still encoded
+// (IngestRows): the router checks each row and reads its key hashes from
+// the bytes, and the shard worker that runs a row decodes it, so an
+// event is built, read and freed on one core. A shard queue is bounded
+// by drain time: a blocking producer waits while the queue holds about
+// 1 ms of the worker's measured work (so detection latency is not a full
+// queue's wait), and queue_capacity events bound its memory.
+// Backpressure is configurable: block the producer, or drop-newest with
+// per-shard drop counters.
 //
 // Queries register and unregister at runtime; both are barriers (they
 // return once every shard has installed/retired its engine), so events
@@ -37,6 +41,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -128,6 +133,17 @@ class StreamRuntime {
   uint64_t IngestBatch(StreamId stream, std::span<const EventPtr> events,
                        uint64_t trace_id);
 
+  /// Same, for one wire batch's event rows still encoded: `count` rows
+  /// in the row codec (event/row_codec.h) and nothing after them. Each
+  /// row is checked as codec::ScanRow checks it and routed by key hashes
+  /// read from its bytes (equal to Value::Hash of the decoded value, so
+  /// a row lands where its decoded event would); the shard worker that
+  /// runs a row decodes it. A malformed row refuses the whole batch with
+  /// its coded error and ingests nothing. Records the trace's
+  /// kWireDecode span (check + route) on the calling thread's lane.
+  Result<uint64_t> IngestRows(StreamId stream, std::string_view rows,
+                              uint32_t count, uint64_t trace_id);
+
   /// A batch of one. Returns false when the event was refused or any
   /// target shard dropped it under kDropNewest.
   bool Ingest(StreamId stream, const EventPtr& event);
@@ -187,6 +203,8 @@ class StreamRuntime {
   struct QueryState;   // defined in stream_runtime.cc
   struct ShardMsg;     // defined in stream_runtime.cc
   struct Control;      // defined in stream_runtime.cc
+  struct EventItems;   // IngestBatch's input, for Route
+  struct RowItems;     // IngestRows' input, for Route
 
   /// Routing entry snapshot used by Ingest without touching QueryState.
   struct RouteEntry {
@@ -211,11 +229,22 @@ class StreamRuntime {
   void WorkerLoop(Shard* shard);
   /// The one routing rule, used by the router and the shard workers
   /// alike: the shard an event of a query belongs to. A query with a
-  /// partition key hashes the event's key; a keyless one (key_field -1)
-  /// runs on its pinned shard. Reuses `hint` when it holds this field's
-  /// hash, and leaves the hash there for the next keyed query.
-  int ShardOf(int key_field, int pinned_shard, const Event& event,
-              KeyHint* hint) const;
+  /// partition key hashes the event's key (`hash_of(field)`); a keyless
+  /// one (key_field -1) runs on its pinned shard. Reuses `hint` when it
+  /// holds this field's hash, and leaves the hash there for the next
+  /// keyed query.
+  template <typename HashOf>
+  int ShardOf(int key_field, int pinned_shard, KeyHint* hint,
+              const HashOf& hash_of) const;
+  /// The one ingest body behind IngestBatch and IngestRows: reads each
+  /// item of `items` (events or encoded rows), routes it by ShardOf into
+  /// one run per target shard, and enqueues the runs. A malformed row
+  /// abandons the call before anything is enqueued.
+  template <typename Items>
+  Result<uint64_t> Route(StreamId stream, Items* items, uint64_t trace_id);
+  /// Decodes a run's wire rows into its `events` (on the shard worker,
+  /// which then dispatches them like any run).
+  void DecodeRows(Shard* shard, ShardMsg* run);
   /// Offers a timestamp-ordered span of `stream` events to every engine
   /// on `shard`, as one EngineCore::PushBatch per engine. Keyed queries
   /// filter the span to the events ShardOf names this shard for,

@@ -300,63 +300,94 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
   }
 
   // -- loopback net server ---------------------------------------------
-  if (options_.net && want("net")) {
-    const std::string path = "net";
-    ZStream zs;
-    auto ddl = zs.Execute(CreateStreamDdl("s", *gp.schema));
-    if (!ddl.ok()) {
-      fail(path, ddl.status());
-      return report;
-    }
-    auto create_query = zs.Execute("CREATE QUERY q ON s AS " + gp.text);
-    if (!create_query.ok()) {
-      if (create_query.status().code() != StatusCode::kNotSupported) {
-        fail(path, create_query.status());
+  if (options_.net) {
+    struct NetVariant {
+      std::string name;
+      bool batched;  // ragged client batches instead of one Ingest call
+      size_t queue_capacity;  // events per shard queue
+    };
+    const size_t default_capacity = runtime::RuntimeOptions{}.queue_capacity;
+    for (const NetVariant& v :
+         {NetVariant{"net", false, default_capacity},
+          NetVariant{"net/batches", true, default_capacity},
+          // Every batch's run of more than 3 rows for a shard is split
+          // across queue slots, so the worker decodes rows slot by slot.
+          NetVariant{"net/tinyqueue", true, 3}}) {
+      const std::string& path = v.name;
+      if (!want(path)) continue;
+      ZStream zs;
+      auto ddl = zs.Execute(CreateStreamDdl("s", *gp.schema));
+      if (!ddl.ok()) {
+        fail(path, ddl.status());
+        continue;
       }
-      return report;
-    }
-    runtime::RuntimeOptions ro;
-    ro.num_shards = 2;
-    ro.reorder_slack = trace.max_disorder;
-    auto server = net::Server::Create(&zs, ro);
-    if (!server.ok()) {
-      fail(path, server.status());
-      return report;
-    }
-    Status started = (*server)->Start();
-    if (!started.ok()) {
-      fail(path, started);
-      return report;
-    }
-    auto client = net::Client::Connect("127.0.0.1", (*server)->port());
-    if (!client.ok()) {
-      fail(path, client.status());
-      (*server)->Stop();
-      return report;
-    }
-    auto subscribed = (*client)->Subscribe("q");
-    Status step = subscribed.ok() ? Status::OK() : subscribed.status();
-    if (step.ok()) {
-      auto ack = (*client)->Ingest("s", trace.events);
-      if (!ack.ok()) step = ack.status();
-    }
-    if (step.ok()) {
-      auto flush = (*client)->Flush();
-      if (!flush.ok()) step = flush.status();
-    }
-    if (!step.ok()) {
-      fail(path, step);
+      auto create_query = zs.Execute("CREATE QUERY q ON s AS " + gp.text);
+      if (!create_query.ok()) {
+        if (create_query.status().code() != StatusCode::kNotSupported) {
+          fail(path, create_query.status());
+        }
+        continue;
+      }
+      runtime::RuntimeOptions ro;
+      ro.num_shards = 2;
+      ro.queue_capacity = v.queue_capacity;
+      ro.reorder_slack = trace.max_disorder;
+      auto server = net::Server::Create(&zs, ro);
+      if (!server.ok()) {
+        fail(path, server.status());
+        continue;
+      }
+      Status started = (*server)->Start();
+      if (!started.ok()) {
+        fail(path, started);
+        continue;
+      }
+      auto client = net::Client::Connect("127.0.0.1", (*server)->port());
+      if (!client.ok()) {
+        fail(path, client.status());
+        (*server)->Stop();
+        continue;
+      }
+      auto subscribed = (*client)->Subscribe("q");
+      Status step = subscribed.ok() ? Status::OK() : subscribed.status();
+      if (step.ok() && v.batched) {
+        // One frame per chunk, ragged as in runtime:2/batches: 1..19
+        // events (1, 4, 7, ... mod 19).
+        const auto first = trace.events.begin();
+        size_t i = 0;
+        for (size_t k = 0; step.ok() && i < trace.events.size(); ++k) {
+          const size_t n =
+              std::min<size_t>(1 + (k * 3) % 19, trace.events.size() - i);
+          auto ack = (*client)->Ingest(
+              "s",
+              std::vector<EventPtr>(first + static_cast<std::ptrdiff_t>(i),
+                                    first + static_cast<std::ptrdiff_t>(i + n)),
+              n);
+          if (!ack.ok()) step = ack.status();
+          i += n;
+        }
+      } else if (step.ok()) {
+        auto ack = (*client)->Ingest("s", trace.events);
+        if (!ack.ok()) step = ack.status();
+      }
+      if (step.ok()) {
+        auto flush = (*client)->Flush();
+        if (!flush.ok()) step = flush.status();
+      }
+      if (!step.ok()) {
+        fail(path, step);
+        (*client)->Close();
+        (*server)->Stop();
+        continue;
+      }
+      std::vector<std::string> keys;
+      for (const net::NetMatch& m : (*client)->TakeMatches()) {
+        keys.push_back(EngineMatchKey(*pattern, m.match));
+      }
       (*client)->Close();
       (*server)->Stop();
-      return report;
+      compare(path, std::move(keys));
     }
-    std::vector<std::string> keys;
-    for (const net::NetMatch& m : (*client)->TakeMatches()) {
-      keys.push_back(EngineMatchKey(*pattern, m.match));
-    }
-    (*client)->Close();
-    (*server)->Stop();
-    compare(path, std::move(keys));
   }
 
   return report;

@@ -12,6 +12,9 @@
 //                     reports counts, not match objects)
 //   runtime:<N>       sharded StreamRuntime, 1 and 4 shards
 //   net               loopback TCP server + client over the runtime
+//   net/batches       the same, fed in ragged 1..19-event client batches
+//   net/tinyqueue     net/batches with 3-event shard queues, so a batch's
+//                     rows for a shard split across queue slots
 //
 // Out-of-order traces run with reorder slack equal to the trace's
 // measured disorder, so every path observes the same timestamp-ordered

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "event/event.h"
+#include "event/row_codec.h"
 #include "event/stream.h"
 
 namespace zstream {
@@ -29,6 +30,46 @@ TEST(Event, ToStringMentionsFields) {
   const std::string s = e->ToString();
   EXPECT_NE(s.find("name='Sun'"), std::string::npos);
   EXPECT_NE(s.find("ts=3"), std::string::npos);
+}
+
+/// The hash the router reads from an encoded one-field row holding `v`
+/// (codec::ScanRow + FieldView::Hash), for a field declared `type`.
+size_t HashFromBytes(const Value& v, ValueType type) {
+  const SchemaPtr schema = Schema::Make({Field{"f", type}});
+  std::string row;
+  codec::AppendEvent(&row, Event(schema, {v}, 1));
+  codec::PayloadReader reader(row);
+  size_t hash = 0;
+  const Result<Timestamp> ts = codec::ScanRow(
+      &reader, *schema,
+      [&hash](int, const codec::FieldView& field) { hash = field.Hash(); });
+  EXPECT_TRUE(ts.ok()) << ts.status();
+  EXPECT_TRUE(reader.AtEnd());
+  return hash;
+}
+
+TEST(RowCodec, KeyHashFromBytesEqualsValueHash) {
+  EXPECT_EQ(HashFromBytes(Value::Null(), ValueType::kString),
+            Value::Null().Hash());
+  EXPECT_EQ(HashFromBytes(Value(true), ValueType::kBool), Value(true).Hash());
+  EXPECT_EQ(HashFromBytes(Value(false), ValueType::kBool),
+            Value(false).Hash());
+  EXPECT_NE(Value(true).Hash(), Value(false).Hash());
+  // 3 and 3.0 compare equal, so they hash (and route) alike, from bytes
+  // and from values.
+  const size_t three = HashFromBytes(Value(int64_t{3}), ValueType::kInt64);
+  EXPECT_EQ(three, Value(int64_t{3}).Hash());
+  EXPECT_EQ(three, Value(3.0).Hash());
+  EXPECT_EQ(HashFromBytes(Value(3.0), ValueType::kDouble), three);
+  // -0.0 == 0.0.
+  const size_t zero = HashFromBytes(Value(-0.0), ValueType::kDouble);
+  EXPECT_EQ(zero, Value(0.0).Hash());
+  EXPECT_EQ(zero, Value(-0.0).Hash());
+  EXPECT_EQ(zero, HashFromBytes(Value(0.0), ValueType::kDouble));
+  EXPECT_EQ(HashFromBytes(Value(""), ValueType::kString), Value("").Hash());
+  const std::string longer = "a string well past sixteen chars";
+  EXPECT_EQ(HashFromBytes(Value(longer), ValueType::kString),
+            Value(longer).Hash());
 }
 
 TEST(Stream, VectorStreamYieldsInOrder) {

@@ -778,6 +778,142 @@ TEST(NetServer, TruncatedEventBatchOverWireIsCodedError) {
   EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kIngestAck);
 }
 
+// A batch is checked whole before any row is ingested: one row with a
+// type mismatch near the end refuses the whole batch with its coded
+// error, and the connection keeps serving.
+TEST(NetServer, MalformedRowMidBatchIngestsNothing) {
+  ServerFixture fx(2, {kStockDdl, kRallyDdl});
+  RawConn raw(fx.server->port());
+  constexpr uint32_t kRows = 256;
+  std::string payload;
+  net::PutString(&payload, "stock");
+  net::PutU64(&payload, 0);  // v3: trace id (unsampled)
+  net::PutU32(&payload, kRows);
+  for (uint32_t i = 0; i < kRows; ++i) {
+    if (i != 200) {
+      net::AppendEvent(&payload, *Stock("IBM", 9.5 + i, i));
+      continue;
+    }
+    // Row 200: a string where the schema declares price DOUBLE.
+    net::PutI64(&payload, i);
+    net::PutU16(&payload, 5);
+    net::AppendValue(&payload, Value(int64_t{i}));
+    net::AppendValue(&payload, Value("IBM"));
+    net::AppendValue(&payload, Value("not a price"));
+    net::AppendValue(&payload, Value(int64_t{100}));
+    net::AppendValue(&payload, Value(int64_t{i}));
+  }
+  std::string frame;
+  net::AppendFrame(&frame, MsgType::kEventBatch, 0, payload);
+  raw.Write(frame);
+  const Status err = raw.ReadError();
+  EXPECT_EQ(err.error_code(), errc::kNetSchemaMismatch);
+  EXPECT_NE(err.message().find("price"), std::string::npos) << err;
+  EXPECT_EQ(
+      RuntimeMetric(fx.server->runtime(), "zstream_events_ingested_total"),
+      0u);
+
+  // The same socket then ingests a well-formed batch.
+  std::string ok_payload;
+  net::PutString(&ok_payload, "stock");
+  net::PutU64(&ok_payload, 0);  // v3: trace id (unsampled)
+  net::PutU32(&ok_payload, 2);
+  net::AppendEvent(&ok_payload, *Stock("IBM", 9.5, 1));
+  net::AppendEvent(&ok_payload, *Stock("IBM", 9.6, 2));
+  std::string ok_frame;
+  net::AppendFrame(&ok_frame, MsgType::kEventBatch, 0, ok_payload);
+  raw.Write(ok_frame);
+  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kIngestAck);
+  EXPECT_EQ(
+      RuntimeMetric(fx.server->runtime(), "zstream_events_ingested_total"),
+      2u);
+}
+
+// The server routes rows by key hashes read from the bytes; an
+// in-process runtime routes the decoded events by Value::Hash. On 4
+// shards, with a keyed and a keyless query on one stream, both paths
+// must produce the same matches and put the same events on every shard.
+TEST(NetServer, KeyedRowsRouteLikeEvents) {
+  constexpr char kSpreadDdl[] =
+      "CREATE QUERY spread ON stock AS "
+      "PATTERN A;B WHERE A.price < B.price WITHIN 20";
+  constexpr int kShards = 4;
+  constexpr size_t kBatch = 500;
+  const auto events = ManyNameTrades(6000, 17);
+  const auto body = [](const char* ddl) {
+    return std::string(std::strstr(ddl, "PATTERN"));
+  };
+  const auto sorted_keys = [](const auto& matches) {
+    std::vector<std::string> keys;
+    for (const auto& m : matches) {
+      keys.push_back(runtime::CanonicalMatchKey(m.match));
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+
+  // In process: IngestBatch over the same batches.
+  runtime::RuntimeOptions ropts;
+  ropts.num_shards = kShards;
+  auto rt = runtime::StreamRuntime::Create(ropts);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  runtime::CollectingMatchSink rally_sink;
+  runtime::CollectingMatchSink spread_sink;
+  for (const auto& [ddl, sink] :
+       {std::pair{kRallyDdl, &rally_sink},
+        std::pair{kSpreadDdl, &spread_sink}}) {
+    runtime::QueryOptions qopts;
+    qopts.sink = sink;
+    auto id = (*rt)->RegisterQuery(*stream, body(ddl), {}, qopts);
+    ASSERT_TRUE(id.ok()) << id.status();
+  }
+  ASSERT_EQ(*(*rt)->query_shard_count(1), kShards);  // keyed
+  ASSERT_EQ(*(*rt)->query_shard_count(2), 1);        // keyless
+  for (size_t i = 0; i < events.size(); i += kBatch) {
+    const size_t n = std::min(kBatch, events.size() - i);
+    EXPECT_EQ((*rt)->IngestBatch(
+                  *stream, std::span<const EventPtr>(events).subspan(i, n)),
+              0u);
+  }
+  ASSERT_TRUE((*rt)->Flush().ok());
+  const auto rally_expected = sorted_keys(rally_sink.Take());
+  const auto spread_expected = sorted_keys(spread_sink.Take());
+  ASSERT_FALSE(rally_expected.empty());
+  ASSERT_FALSE(spread_expected.empty());
+
+  // Over the wire, in the same batches.
+  ServerFixture fx(kShards, {kStockDdl, kRallyDdl, kSpreadDdl});
+  auto client = fx.Connect();
+  ASSERT_TRUE(client->Subscribe("rally").ok());
+  ASSERT_TRUE(client->Subscribe("spread").ok());
+  auto ack = client->Ingest("stock", events, kBatch);
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(ack->accepted, events.size());
+  ASSERT_TRUE(client->Flush().ok());
+  std::vector<NetMatch> rally_got;
+  std::vector<NetMatch> spread_got;
+  for (NetMatch& m : client->TakeMatches()) {
+    (m.query == "rally" ? rally_got : spread_got).push_back(std::move(m));
+  }
+  EXPECT_EQ(sorted_keys(rally_got), rally_expected);
+  EXPECT_EQ(sorted_keys(spread_got), spread_expected);
+
+  int busy_keyed_shards = 0;
+  for (int s = 0; s < kShards; ++s) {
+    const uint64_t in_process =
+        RuntimeMetric(**rt, "zstream_shard_events_processed_total", s);
+    EXPECT_EQ(RuntimeMetric(fx.server->runtime(),
+                            "zstream_shard_events_processed_total", s),
+              in_process)
+        << "shard " << s;
+    if (s > 0 && in_process > 0) ++busy_keyed_shards;
+  }
+  // The keyless query runs on shard 0; the keyed one spreads its names.
+  EXPECT_GE(busy_keyed_shards, 2);
+}
+
 // Event timestamps are untrusted input. The int64 extremes would
 // overflow the engines' window arithmetic (`ts - window`, `ts + 1`) and
 // the shard reorder stage's `ts - slack`; anything outside +/-2^62 is

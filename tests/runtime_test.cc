@@ -779,6 +779,43 @@ TEST(CollectingMatchSink, TakeOrdersDeterministically) {
   EXPECT_EQ(sink.size(), 0u);  // Take drains
 }
 
+// The wire fanout sorts matches it keeps only as bytes by their sort
+// keys; for one query's matches the key order must be MatchLess.
+TEST(MatchSortKey, OrdersLikeMatchLess) {
+  std::mt19937_64 rng(7);
+  const auto pick = [&rng](int n) { return static_cast<int>(rng() % n); };
+  std::vector<OwnedMatch> matches;
+  for (int i = 0; i < 300; ++i) {
+    // Three slots, each absent or at one of a few timestamps, so ties
+    // on span and on slots are common; the group is absent, present
+    // but empty, or one or two events.
+    std::vector<EventPtr> slots;
+    for (int s = 0; s < 3; ++s) {
+      slots.push_back(pick(3) == 0 ? nullptr
+                                   : Stock("S", 1.0, pick(4)));
+    }
+    EventGroupPtr group;
+    if (const int g = pick(4); g > 0) {
+      auto events = std::make_shared<EventGroup>();
+      for (int k = 1; k < g; ++k) events->push_back(Stock("S", 1.0, pick(3)));
+      group = std::move(events);
+    }
+    const Timestamp start = pick(3);
+    matches.emplace_back(TimeSpan{start, start + pick(2)}, std::move(slots),
+                         std::move(group));
+  }
+  std::vector<std::vector<int64_t>> keys(matches.size());
+  for (size_t i = 0; i < matches.size(); ++i) {
+    runtime::AppendMatchSortKey(matches[i], &keys[i]);
+  }
+  for (size_t i = 0; i < matches.size(); ++i) {
+    for (size_t j = 0; j < matches.size(); ++j) {
+      ASSERT_EQ(keys[i] < keys[j], runtime::MatchLess(matches[i], matches[j]))
+          << matches[i].ToString() << " vs " << matches[j].ToString();
+    }
+  }
+}
+
 // A null event inside a batch is refused and counted like a drop; the
 // rest of the batch is ingested as if it were not there.
 TEST(StreamRuntime, NullEventInBatchIsRefusedAndCounted) {
