@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "exec/partitioned_engine.h"
+
 namespace zstream::bench {
 
 int Repetitions() {

@@ -2,11 +2,10 @@
 //
 // A Catalog is the registry behind the public API's session model
 // (ZStream owns one; StreamRuntime binds its input streams from one):
-// each *stream* is a (name, schema) pair, each *query* is a named,
-// parsed pattern query attached to one stream. The catalog itself is
-// metadata only — compiled engines live in the session (ZStream) or the
-// runtime, keyed by the same names — so it is cheap to copy and
-// inspect.
+// each *stream* is a (name, schema) pair, each *query* is a named query
+// attached to one stream, carrying its CompiledQuery. The catalog holds
+// no engines — whoever runs a query (the session's Query, the runtime's
+// shards) builds them from that CompiledQuery — so it is cheap to copy.
 //
 // Populated programmatically (CreateStream/AddQuery) or through the DDL
 // layer (`CREATE STREAM ...`, `CREATE QUERY ... ON ... AS ...`,
@@ -15,21 +14,24 @@
 #ifndef ZSTREAM_API_CATALOG_H_
 #define ZSTREAM_API_CATALOG_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/schema.h"
-#include "plan/pattern.h"
 
 namespace zstream {
+
+class CompiledQuery;  // api/zstream.h
 
 /// \brief Metadata for one named query in the catalog.
 struct QueryInfo {
   std::string name;
   std::string stream;   // owning stream's name
   std::string text;     // query text (PATTERN ... WITHIN ...)
-  PatternPtr pattern;   // analyzed form (set when registered compiled)
+  /// Set when registered through ZStream::Execute.
+  std::shared_ptr<const CompiledQuery> compiled;
 };
 
 /// \brief Named streams + named queries. Insertion order is preserved

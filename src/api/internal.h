@@ -1,8 +1,7 @@
-// Internal access to Query's engine objects. The public surface keeps
-// Query opaque (no raw Engine*/PartitionedEngine* escapes api/); code
-// that legitimately needs the executor — the runtime layer's
-// diagnostics, white-box tests, ablation benchmarks — goes through this
-// header instead, so every such use is greppable.
+// Internal access to Query's engine. The public surface keeps Query
+// opaque (no raw engine pointer escapes api/); code that legitimately
+// needs the executor — white-box tests, ablation benchmarks — goes
+// through this header instead, so every such use is greppable.
 #ifndef ZSTREAM_API_INTERNAL_H_
 #define ZSTREAM_API_INTERNAL_H_
 
@@ -11,15 +10,13 @@
 namespace zstream::internal {
 
 struct QueryAccess {
-  /// The uniform shard-facing interface (exec/engine_core.h).
-  static EngineCore* Core(Query& query) { return query.core(); }
+  /// The uniform engine interface (exec/engine_core.h); builds the
+  /// engine if the query has none yet.
+  static EngineCore* Core(Query& query) { return &query.core(); }
 
-  /// The single-partition engine (null when the query is partitioned).
-  static Engine* SingleEngine(Query& query) { return query.engine_.get(); }
-
-  /// The hash-partitioned engine (null when not partitioned).
-  static PartitionedEngine* Partitioned(Query& query) {
-    return query.partitioned_.get();
+  /// Whether the query has built its engine (it does on first use).
+  static bool HasEngine(const Query& query) {
+    return query.engine_ != nullptr;
   }
 };
 

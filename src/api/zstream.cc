@@ -54,57 +54,68 @@ Result<PhysicalPlan> BuildPlan(const PatternPtr& pattern,
   return plan;
 }
 
+Result<std::shared_ptr<const CompiledQuery>> Prepare(
+    const std::string& stream, SchemaPtr schema, const ParsedQuery& parsed,
+    const CompileOptions& options) {
+  auto compiled = std::shared_ptr<CompiledQuery>(new CompiledQuery());
+  ZS_ASSIGN_OR_RETURN(compiled->pattern,
+                      Analyze(parsed, schema, options.analyzer));
+  ZS_ASSIGN_OR_RETURN(compiled->plan, BuildPlan(compiled->pattern, options));
+  ZS_RETURN_IF_ERROR(
+      ProbeEngine(compiled->pattern, compiled->plan, options.engine));
+  compiled->stream = stream;
+  compiled->schema = std::move(schema);
+  compiled->stats_provided = options.stats.has_value();
+  compiled->engine = options.engine;
+  return std::shared_ptr<const CompiledQuery>(std::move(compiled));
+}
+
 // ---------------------------------------------------------------------
 // Query
 // ---------------------------------------------------------------------
 
-void Query::Push(const EventPtr& event) { core()->Push(event); }
+EngineCore& Query::core() const {
+  if (engine_ == nullptr) {
+    engine_ = MakeEngine(compiled_->pattern, compiled_->plan,
+                         compiled_->engine);
+  }
+  return *engine_;
+}
 
-void Query::Finish() { core()->Finish(); }
+void Query::Push(const EventPtr& event) { core().Push(event); }
+
+void Query::Finish() { core().Finish(); }
 
 void Query::SetMatchCallback(MatchCallback cb) {
-  core()->SetMatchCallback(std::move(cb));
+  core().SetMatchCallback(std::move(cb));
 }
 
-uint64_t Query::num_matches() const {
-  return partitioned_ != nullptr ? partitioned_->num_matches()
-                                 : engine_->num_matches();
-}
+uint64_t Query::num_matches() const { return core().num_matches(); }
 
 std::string Query::Explain() const {
   std::ostringstream os;
-  os << "stream=" << stream_ << " plan=" << plan_.Explain(*pattern_)
+  os << "stream=" << stream() << " plan=" << plan().Explain(pattern())
      << " cost=";
   os.precision(6);
-  os << plan_.estimated_cost
-     << " stats=" << (stats_provided_ ? "provided" : "uniform-defaults");
-  if (partitioned_ != nullptr) {
-    os << " [hash-partitioned on " << pattern_->partition->field_name
+  os << plan().estimated_cost << " stats="
+     << (compiled_->stats_provided ? "provided" : "uniform-defaults");
+  if (partitioned()) {
+    os << " [hash-partitioned on " << pattern().partition->field_name
        << "]";
   }
   return os.str();
 }
 
 std::string Query::CurrentPlan() const {
-  const PlanProfiles live = partitioned_ != nullptr ? partitioned_->Profile()
-                                                    : engine_->Profile();
-  return live.empty() ? plan_.Explain(*pattern_) : live.front().plan;
+  const PlanProfiles live = core().Profile();
+  return live.empty() ? plan().Explain(pattern()) : live.front().plan;
 }
 
-std::string Query::ExplainAnalyze() const {
-  return partitioned_ != nullptr ? partitioned_->ExplainAnalyze()
-                                 : engine_->ExplainAnalyze();
-}
+std::string Query::ExplainAnalyze() const { return core().ExplainAnalyze(); }
 
-uint64_t Query::plan_switches() const {
-  return partitioned_ != nullptr ? partitioned_->plan_switches()
-                                 : engine_->plan_switches();
-}
+uint64_t Query::plan_switches() const { return core().plan_switches(); }
 
-MemoryTracker& Query::memory() {
-  return partitioned_ != nullptr ? partitioned_->memory()
-                                 : engine_->memory();
-}
+MemoryTracker& Query::memory() { return core().memory(); }
 
 // ---------------------------------------------------------------------
 // ZStream
@@ -130,34 +141,20 @@ Result<PatternPtr> ZStream::Analyze(const std::string& stream_name,
 }
 
 Result<std::unique_ptr<Query>> ZStream::CompileParsed(
-    const std::string& stream_name, const ParsedQuery& parsed,
-    const CompileOptions& options) const {
+    const std::string& name, const std::string& stream_name,
+    const ParsedQuery& parsed, const CompileOptions& options) const {
   ZS_ASSIGN_OR_RETURN(SchemaPtr schema, catalog_.stream(stream_name));
-  ZS_ASSIGN_OR_RETURN(PatternPtr pattern,
-                      zstream::Analyze(parsed, schema, options.analyzer));
-  ZS_ASSIGN_OR_RETURN(PhysicalPlan plan, BuildPlan(pattern, options));
-
-  auto query = std::unique_ptr<Query>(new Query());
-  query->stream_ = stream_name;
-  query->pattern_ = pattern;
-  query->plan_ = plan;
-  query->stats_provided_ = options.stats.has_value();
-  if (pattern->partition.has_value()) {
-    ZS_ASSIGN_OR_RETURN(
-        query->partitioned_,
-        PartitionedEngine::Create(pattern, plan, options.engine));
-  } else {
-    ZS_ASSIGN_OR_RETURN(query->engine_,
-                        Engine::Create(pattern, plan, options.engine));
-  }
-  return query;
+  ZS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CompiledQuery> compiled,
+      Prepare(stream_name, std::move(schema), parsed, options));
+  return std::unique_ptr<Query>(new Query(name, std::move(compiled)));
 }
 
 Result<std::unique_ptr<Query>> ZStream::Compile(
     const std::string& stream_name, const std::string& text,
     const CompileOptions& options) const {
   ZS_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(text));
-  return CompileParsed(stream_name, parsed, options);
+  return CompileParsed("", stream_name, parsed, options);
 }
 
 Result<std::unique_ptr<Query>> ZStream::Compile(
@@ -168,7 +165,7 @@ Result<std::unique_ptr<Query>> ZStream::Compile(
 Result<std::unique_ptr<Query>> ZStream::Compile(
     const PatternBuilder& builder, const CompileOptions& options) const {
   ZS_ASSIGN_OR_RETURN(ParsedQuery parsed, builder.Build());
-  return CompileParsed(builder.stream(), parsed, options);
+  return CompileParsed("", builder.stream(), parsed, options);
 }
 
 Result<Query*> ZStream::query(const std::string& name) {
@@ -183,6 +180,11 @@ Result<Query*> ZStream::query(const std::string& name) {
 Result<DdlResult> ZStream::Execute(const std::string& statement,
                                    const CompileOptions& options) {
   ZS_ASSIGN_OR_RETURN(DdlStatement stmt, ParseDdl(statement));
+  return Execute(stmt, options);
+}
+
+Result<DdlResult> ZStream::Execute(const DdlStatement& stmt,
+                                   const CompileOptions& options) {
   DdlResult result;
   result.kind = stmt.kind;
   switch (stmt.kind) {
@@ -207,14 +209,15 @@ Result<DdlResult> ZStream::Execute(const std::string& statement,
                                        "' already exists")
             .WithErrorCode(errc::kCatalogDuplicateQuery);
       }
+      // Metric labels, slow-event logs and provenance identify the query
+      // by its catalog name (unless the caller already chose a label),
+      // wherever its engines run.
+      CompileOptions labeled = options;
+      if (labeled.engine.label.empty()) labeled.engine.label = name;
       ZS_ASSIGN_OR_RETURN(std::unique_ptr<Query> compiled,
-                          CompileParsed(stream, *stmt.query, options));
-      compiled->name_ = name;
-      // Metric labels and slow-event logs identify the query by its
-      // catalog name (unless the caller already chose a label).
-      if (options.engine.label.empty()) compiled->core()->SetLabel(name);
+                          CompileParsed(name, stream, *stmt.query, labeled));
       ZS_RETURN_IF_ERROR(catalog_.AddQuery(QueryInfo{
-          name, stream, stmt.query_text, compiled->pattern_}));
+          name, stream, stmt.query_text, compiled->compiled_}));
       result.name = name;
       result.query = compiled.get();
       queries_[name] = std::move(compiled);
@@ -235,35 +238,25 @@ Result<DdlResult> ZStream::Execute(const std::string& statement,
       result.message = "stream '" + stmt.name + "' dropped";
       return result;
     }
-    case DdlKind::kExplainTrace: {
-      auto it = queries_.find(stmt.name);
-      if (it == queries_.end()) {
-        return Status::NotFound("no query named '" + stmt.name + "'")
-            .WithErrorCode(errc::kCatalogUnknownQuery)
-            .WithLocation(stmt.name_line, stmt.name_column);
-      }
-      result.name = stmt.name;
-      result.query = it->second.get();
-      // Provenance is keyed by the engine label, which defaults to the
-      // catalog name (SetLabel above); the tracer is process-global, so
-      // this sees served-runtime matches too.
-      result.message =
-          obs::Tracer::Global().RenderProvenance(stmt.name);
-      return result;
-    }
+    case DdlKind::kExplainTrace:
     case DdlKind::kShowPlan:
     case DdlKind::kExplainAnalyze: {
-      auto it = queries_.find(stmt.name);
-      if (it == queries_.end()) {
-        return Status::NotFound("no query named '" + stmt.name + "'")
-            .WithErrorCode(errc::kCatalogUnknownQuery)
-            .WithLocation(stmt.name_line, stmt.name_column);
+      Result<Query*> found = query(stmt.name);
+      if (!found.ok()) {
+        return found.status().WithLocation(stmt.name_line, stmt.name_column);
       }
       result.name = stmt.name;
-      result.query = it->second.get();
-      result.message = stmt.kind == DdlKind::kExplainAnalyze
-                           ? it->second->ExplainAnalyze()
-                           : it->second->Explain();
+      result.query = *found;
+      if (stmt.kind == DdlKind::kShowPlan) {
+        result.message = (*found)->Explain();
+      } else if (stmt.kind == DdlKind::kExplainAnalyze) {
+        result.message = (*found)->ExplainAnalyze();
+      } else {
+        // Provenance is keyed by the engine label, which defaults to the
+        // catalog name (kCreateQuery above); the tracer is
+        // process-global, so this sees served-runtime matches too.
+        result.message = obs::Tracer::Global().RenderProvenance(stmt.name);
+      }
       return result;
     }
     case DdlKind::kShowStreams: {

@@ -22,12 +22,12 @@
 //   auto q2 = zs.Compile(PatternBuilder(Seq("A", "B")).On("stock")
 //                            .Within(10));
 //
-// Compile() runs parse -> rewrite -> analyze -> optimize -> instantiate.
+// Compile() runs parse -> Prepare (rewrite, analyze, plan, verify once,
+// probe) -> a Query that builds its engine (MakeEngine) on first use.
 // Plans come from the cost-based planner by default; fixed shapes
 // (left-deep, right-deep, or an explicit shape string) are available for
-// experiments via CompileOptions. Query handles are opaque: no raw
-// engine pointers (diagnostic internals live behind
-// api/internal.h's QueryAccess).
+// experiments via CompileOptions. Query handles are opaque (internals
+// live behind api/internal.h's QueryAccess).
 #ifndef ZSTREAM_API_ZSTREAM_H_
 #define ZSTREAM_API_ZSTREAM_H_
 
@@ -38,8 +38,8 @@
 
 #include "api/catalog.h"
 #include "api/pattern_builder.h"
+#include "common/macros.h"
 #include "exec/engine.h"
-#include "exec/partitioned_engine.h"
 #include "opt/planner.h"
 #include "query/analyzer.h"
 #include "query/ddl.h"
@@ -74,8 +74,37 @@ struct CompileOptions {
   PlannerOptions planner;
 };
 
+/// \brief A query compiled once, shared by everything that runs it (a
+/// session's Query, the catalog, every runtime shard). Only Prepare
+/// constructs one, so holding one proves the plan was verified and the
+/// pair instantiates: engines build from it trusted (MakeEngine).
+class CompiledQuery {
+ public:
+  std::string stream;
+  SchemaPtr schema;
+  PatternPtr pattern;
+  PhysicalPlan plan;
+  bool stats_provided = false;
+  EngineOptions engine;
+
+  ZS_DISALLOW_COPY_AND_ASSIGN(CompiledQuery);
+
+ private:
+  friend Result<std::shared_ptr<const CompiledQuery>> Prepare(
+      const std::string& stream, SchemaPtr schema, const ParsedQuery& parsed,
+      const CompileOptions& options);
+  CompiledQuery() = default;
+};
+
+/// The one compile step: analyzes `parsed` against `schema`, builds and
+/// verifies its plan once (BuildPlan), and probes it (ProbeEngine).
+Result<std::shared_ptr<const CompiledQuery>> Prepare(
+    const std::string& stream, SchemaPtr schema, const ParsedQuery& parsed,
+    const CompileOptions& options);
+
 /// \brief An opaque, runnable compiled query (partitioned automatically
-/// when the analyzer found a full-coverage equality key).
+/// when the analyzer found a full-coverage equality key). Its engine is
+/// built on first use: a query served by the runtime never builds one.
 class Query {
  public:
   void Push(const EventPtr& event);
@@ -83,12 +112,12 @@ class Query {
   void SetMatchCallback(MatchCallback cb);
 
   uint64_t num_matches() const;
-  const Pattern& pattern() const { return *pattern_; }
-  const PhysicalPlan& plan() const { return plan_; }
+  const Pattern& pattern() const { return *compiled_->pattern; }
+  const PhysicalPlan& plan() const { return compiled_->plan; }
   /// Catalog name ("" for ad-hoc Compile()d queries).
   const std::string& name() const { return name_; }
   /// Name of the stream this query was compiled against.
-  const std::string& stream() const { return stream_; }
+  const std::string& stream() const { return compiled_->stream; }
 
   /// One line: stream name, plan shape, estimated cost under the
   /// planning statistics, and whether those stats came from
@@ -108,30 +137,22 @@ class Query {
   std::string ExplainAnalyze() const;
 
   MemoryTracker& memory();
-  bool partitioned() const { return partitioned_ != nullptr; }
+  bool partitioned() const { return pattern().partition.has_value(); }
 
  private:
   friend class ZStream;
   friend struct internal::QueryAccess;
 
-  Query() = default;
+  Query(std::string name, std::shared_ptr<const CompiledQuery> compiled)
+      : name_(std::move(name)), compiled_(std::move(compiled)) {}
 
-  /// The uniform shard-facing interface over whichever engine backs
-  /// this query (see exec/engine_core.h). Internal: reach it through
-  /// internal::QueryAccess.
-  EngineCore* core() {
-    return partitioned_ != nullptr
-               ? static_cast<EngineCore*>(partitioned_.get())
-               : engine_.get();
-  }
+  /// The engine behind this query, built from compiled_ on first use.
+  /// Internal: reach it through internal::QueryAccess.
+  EngineCore& core() const;
 
   std::string name_;
-  std::string stream_;
-  PatternPtr pattern_;
-  PhysicalPlan plan_;
-  bool stats_provided_ = false;
-  std::unique_ptr<Engine> engine_;
-  std::unique_ptr<PartitionedEngine> partitioned_;
+  std::shared_ptr<const CompiledQuery> compiled_;
+  mutable std::unique_ptr<EngineCore> engine_;
 };
 
 /// \brief Outcome of one ZStream::Execute statement.
@@ -177,6 +198,9 @@ class ZStream {
   /// `options` applies to statements that compile a query.
   Result<DdlResult> Execute(const std::string& statement,
                             const CompileOptions& options = {});
+  /// Same, for a statement already parsed by ParseDdl.
+  Result<DdlResult> Execute(const DdlStatement& statement,
+                            const CompileOptions& options = {});
 
   /// Handle of a query registered by CREATE QUERY (owned by this
   /// session).
@@ -219,9 +243,10 @@ class ZStream {
   SchemaPtr schema() const { return catalog_.stream("default").ValueOr(nullptr); }
 
  private:
+  /// Prepares `parsed` into a Query named `name` ("" for ad-hoc ones).
   Result<std::unique_ptr<Query>> CompileParsed(
-      const std::string& stream_name, const ParsedQuery& parsed,
-      const CompileOptions& options) const;
+      const std::string& name, const std::string& stream_name,
+      const ParsedQuery& parsed, const CompileOptions& options) const;
 
   Catalog catalog_;
   std::unordered_map<std::string, std::unique_ptr<Query>> queries_;

@@ -35,4 +35,15 @@ std::string Schema::ToString() const {
   return os.str();
 }
 
+bool SchemasEqual(const Schema& a, const Schema& b) {
+  if (a.num_fields() != b.num_fields()) return false;
+  for (int i = 0; i < a.num_fields(); ++i) {
+    if (a.field(i).name != b.field(i).name ||
+        a.field(i).type != b.field(i).type) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace zstream

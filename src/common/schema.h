@@ -46,6 +46,10 @@ class Schema {
 
 using SchemaPtr = std::shared_ptr<const Schema>;
 
+/// Same field names and types, in the same order: events of one decode
+/// and evaluate identically under the other.
+bool SchemasEqual(const Schema& a, const Schema& b);
+
 }  // namespace zstream
 
 #endif  // ZSTREAM_COMMON_SCHEMA_H_

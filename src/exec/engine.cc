@@ -1,10 +1,13 @@
 #include "exec/engine.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/logging.h"
 #include "common/macros.h"
+#include "exec/partitioned_engine.h"
 #include "expr/analysis.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -36,11 +39,7 @@ Result<std::unique_ptr<Engine>> Engine::Create(PatternPtr pattern,
                                                MemoryTracker* tracker) {
   ZS_RETURN_IF_ERROR(pattern->Validate());
   ZS_RETURN_IF_ERROR(verify::VerifyPlan(*pattern, plan));
-  auto engine =
-      std::unique_ptr<Engine>(new Engine(std::move(pattern), options, tracker));
-  ZS_RETURN_IF_ERROR(engine->Build(plan, /*initial=*/true,
-                                   /*pre_verified=*/true));
-  return engine;
+  return CreateTrusted(std::move(pattern), plan, options, tracker);
 }
 
 Result<std::unique_ptr<Engine>> Engine::CreateTrusted(
@@ -48,22 +47,34 @@ Result<std::unique_ptr<Engine>> Engine::CreateTrusted(
     MemoryTracker* tracker) {
   auto engine =
       std::unique_ptr<Engine>(new Engine(std::move(pattern), options, tracker));
-  ZS_RETURN_IF_ERROR(engine->Build(plan, /*initial=*/true,
-                                   /*pre_verified=*/true));
+  ZS_RETURN_IF_ERROR(engine->Build(plan, /*initial=*/true));
   return engine;
 }
 
-Status Engine::Build(const PhysicalPlan& plan, bool initial,
-                     bool pre_verified) {
-  // Full invariant pass, not just the plan-layer ValidatePlan: every
-  // plan reaching an engine (initial build or a SwitchPlan from the
-  // adaptive path) satisfies the verifier or is refused here — except
-  // when the caller proved this exact pattern/plan pair already
-  // (Create's own pre-check, or PartitionedEngine verifying once for
-  // hundreds of partitions).
-  if (!pre_verified) {
-    ZS_RETURN_IF_ERROR(verify::VerifyPlan(*pattern_, plan));
+Status ProbeEngine(const PatternPtr& pattern, const PhysicalPlan& plan,
+                   const EngineOptions& options) {
+  return Engine::CreateTrusted(pattern, plan, options).status();
+}
+
+std::unique_ptr<EngineCore> MakeEngine(PatternPtr pattern,
+                                       const PhysicalPlan& plan,
+                                       const EngineOptions& options,
+                                       MemoryTracker* tracker) {
+  if (pattern->partition.has_value()) {
+    return std::make_unique<PartitionedEngine>(std::move(pattern), plan,
+                                               options, tracker);
   }
+  Result<std::unique_ptr<Engine>> engine =
+      Engine::CreateTrusted(std::move(pattern), plan, options, tracker);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "MakeEngine: plan was never probed: %s\n",
+                 engine.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(engine).value();
+}
+
+Status Engine::Build(const PhysicalPlan& plan, bool initial) {
   const int n = pattern_->num_classes();
 
   if (initial) {
@@ -577,6 +588,9 @@ void Engine::MaybeAdapt() {
 }
 
 Status Engine::SwitchPlan(const PhysicalPlan& plan) {
+  // Full invariant pass: a plan the verifier refuses never replaces the
+  // running one.
+  ZS_RETURN_IF_ERROR(verify::VerifyPlan(*pattern_, plan));
   ZS_RETURN_IF_ERROR(Build(plan, /*initial=*/false));
   // Rebuild round (Section 5.3): non-trigger leaves replay their
   // retained records so the new plan's internal state is reconstructed;

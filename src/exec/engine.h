@@ -73,9 +73,8 @@ class Engine : public EngineCore, private MatchSink {
       PatternPtr pattern, const PhysicalPlan& plan,
       const EngineOptions& options = {}, MemoryTracker* tracker = nullptr);
 
-  /// Like Create, but for a pattern + plan pair the caller has already
-  /// validated/verified (PartitionedEngine proves them once, then
-  /// instantiates per partition without paying verification again).
+  /// Like Create, for a pair the caller has already validated and
+  /// verified (MakeEngine, and PartitionedEngine's partitions).
   static Result<std::unique_ptr<Engine>> CreateTrusted(
       PatternPtr pattern, const PhysicalPlan& plan,
       const EngineOptions& options = {}, MemoryTracker* tracker = nullptr);
@@ -115,12 +114,7 @@ class Engine : public EngineCore, private MatchSink {
   PlanProfiles Profile() const override;
   /// Renders the plan tree annotated with live counters/timings, plus
   /// engine totals and predicted-vs-observed cost.
-  std::string ExplainAnalyze() const;
-
-  void SetLabel(const std::string& label) override {
-    options_.label = label;
-  }
-  const std::string& label() const { return options_.label; }
+  std::string ExplainAnalyze() const override;
 
   /// FNV-1a 64 of the installed plan's Explain rendering (refreshed on
   /// every Build/SwitchPlan). Spans and match provenance (obs/trace.h)
@@ -131,7 +125,7 @@ class Engine : public EngineCore, private MatchSink {
   uint64_t num_matches() const override { return num_matches_; }
   uint64_t events_pushed() const override { return events_pushed_; }
   uint64_t assembly_rounds() const { return assembly_rounds_; }
-  uint64_t plan_switches() const { return plan_switches_; }
+  uint64_t plan_switches() const override { return plan_switches_; }
   /// Events dropped for arriving out of timestamp order.
   uint64_t late_events() const { return late_events_; }
   /// Ingest steps that exceeded EngineOptions::slow_event_ns.
@@ -147,8 +141,8 @@ class Engine : public EngineCore, private MatchSink {
   Engine(PatternPtr pattern, const EngineOptions& options,
          MemoryTracker* tracker);
 
-  Status Build(const PhysicalPlan& plan, bool initial,
-               bool pre_verified = false);
+  /// Instantiates an already verified `plan`.
+  Status Build(const PhysicalPlan& plan, bool initial);
   Result<OperatorNode*> BuildNode(const PhysNodePtr& node,
                                   std::vector<ExprPtr>* unattached);
   void AttachPredicates(OperatorNode* op, std::vector<ExprPtr>* unattached);
@@ -216,6 +210,21 @@ class Engine : public EngineCore, private MatchSink {
   uint64_t prov_trace_ = 0;
   uint32_t prov_in_trace_ = 0;
 };
+
+/// Proves once that a verified pair instantiates: builds one Engine and
+/// discards it. A keyed query's partitions are built lazily, where an
+/// unsupported shape could not fail loudly, so it must fail here.
+Status ProbeEngine(const PatternPtr& pattern, const PhysicalPlan& plan,
+                   const EngineOptions& options);
+
+/// The one engine factory, and the one place that picks the kind: a
+/// keyed pattern (Section 5.2.2) runs as a PartitionedEngine, any other
+/// as an Engine. Builds trusted, for a pair that passed VerifyPlan and
+/// ProbeEngine (api's Prepare); one that did not aborts.
+std::unique_ptr<EngineCore> MakeEngine(PatternPtr pattern,
+                                       const PhysicalPlan& plan,
+                                       const EngineOptions& options,
+                                       MemoryTracker* tracker = nullptr);
 
 }  // namespace zstream
 

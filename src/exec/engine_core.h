@@ -3,7 +3,8 @@
 // runtime::StreamRuntime hosts many queries, each instantiated once per
 // shard; a shard worker drives its engines through this interface without
 // caring whether a query runs as a single-partition Engine or a
-// hash-partitioned PartitionedEngine. Implementations are single-threaded
+// hash-partitioned PartitionedEngine (MakeEngine in exec/engine.h
+// picks one from the pattern). Implementations are single-threaded
 // (one shard worker owns each instance); cross-thread aggregation happens
 // above, via atomic match counters, the thread-safe MemoryTracker and the
 // PlanProfiles each engine reports. An adaptive engine re-plans itself
@@ -67,8 +68,10 @@ class EngineCore {
   /// first partition exists).
   virtual PlanProfiles Profile() const = 0;
 
-  /// Human-readable query name for slow-event logs and metric labels.
-  virtual void SetLabel(const std::string& label) = 0;
+  /// Adaptive plan switches so far (summed over partitions).
+  virtual uint64_t plan_switches() const = 0;
+  /// EXPLAIN ANALYZE: the live plan trees with counters, engine totals.
+  virtual std::string ExplainAnalyze() const = 0;
 };
 
 }  // namespace zstream

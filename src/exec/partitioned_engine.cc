@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/macros.h"
-#include "verify/plan_verifier.h"
 
 namespace zstream {
 
@@ -13,7 +12,8 @@ PartitionedEngine::PartitionedEngine(PatternPtr pattern, PhysicalPlan plan,
     : pattern_(std::move(pattern)),
       plan_(std::move(plan)),
       options_(options),
-      tracker_(tracker) {
+      tracker_(tracker),
+      key_field_(pattern_->partition->field_indices.front()) {
   if (tracker_ == nullptr) {
     owned_tracker_ = std::make_unique<MemoryTracker>();
     tracker_ = owned_tracker_.get();
@@ -27,27 +27,19 @@ Result<std::unique_ptr<PartitionedEngine>> PartitionedEngine::Create(
     return Status::InvalidArgument(
         "pattern has no partition key; use Engine directly");
   }
-  ZS_RETURN_IF_ERROR(pattern->Validate());
-  ZS_RETURN_IF_ERROR(verify::VerifyPlan(*pattern, plan));
-  // Partitions are created lazily and GetOrCreate cannot surface a
-  // construction error per event — prove the (pattern, plan, options)
-  // combination actually instantiates NOW, so an unsupported shape
-  // (e.g. non-local negation predicates under a pushed-down NSEQ)
-  // fails loudly instead of silently producing zero matches.
+  // Validates, verifies, and proves the pair instantiates (see
+  // ProbeEngine): partitions are built lazily, where errors cannot show.
   ZS_RETURN_IF_ERROR(Engine::Create(pattern, plan, options).status());
-  auto engine = std::unique_ptr<PartitionedEngine>(
-      new PartitionedEngine(std::move(pattern), plan, options, tracker));
-  engine->key_field_ = engine->pattern_->partition->field_indices.front();
-  return engine;
+  return std::make_unique<PartitionedEngine>(std::move(pattern), plan,
+                                             options, tracker);
 }
 
 Result<PartitionedEngine::Partition*> PartitionedEngine::GetOrCreate(
     const Value& key) {
   auto it = partitions_.find(key);
   if (it != partitions_.end()) return &it->second;
-  // The (pattern, plan, options) combination was validated, verified and
-  // probe-instantiated once in Create; lazily-created partitions run on
-  // the hot path (a new key arrives mid-stream) and skip re-proving it.
+  // The pair was verified and probed once (Create, or Prepare before
+  // MakeEngine); partitions created mid-stream skip re-proving it.
   ZS_ASSIGN_OR_RETURN(
       std::unique_ptr<Engine> sub,
       Engine::CreateTrusted(pattern_, plan_, options_, tracker_));
@@ -145,13 +137,6 @@ std::string PartitionedEngine::ExplainAnalyze() const {
     os << RenderPlanProfiles(live);
   }
   return os.str();
-}
-
-void PartitionedEngine::SetLabel(const std::string& label) {
-  options_.label = label;
-  for (auto& [key, part] : partitions_) {
-    part.engine->SetLabel(label);
-  }
 }
 
 }  // namespace zstream

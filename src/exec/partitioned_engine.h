@@ -24,6 +24,10 @@ class PartitionedEngine : public EngineCore {
       PatternPtr pattern, const PhysicalPlan& plan,
       const EngineOptions& options = {}, MemoryTracker* tracker = nullptr);
 
+  /// Trusted: for a keyed pair already verified and probed (MakeEngine).
+  PartitionedEngine(PatternPtr pattern, PhysicalPlan plan,
+                    const EngineOptions& options, MemoryTracker* tracker);
+
   ZS_DISALLOW_COPY_AND_ASSIGN(PartitionedEngine);
 
   /// Routes each event to its key's sub-engine (Engine::Offer) and runs
@@ -46,7 +50,7 @@ class PartitionedEngine : public EngineCore {
   uint64_t events_pushed() const override { return events_pushed_; }
   /// Plan switches summed over the partitions (each adapts on its own
   /// statistics under EngineOptions::adaptive).
-  uint64_t plan_switches() const;
+  uint64_t plan_switches() const override;
   /// Events the sub-engines dropped for arriving out of timestamp order.
   uint64_t late_events() const;
   size_t num_partitions() const { return partitions_.size(); }
@@ -57,15 +61,9 @@ class PartitionedEngine : public EngineCore {
   /// before the first partition.
   PlanProfiles Profile() const override;
   /// Live plan trees with their counters, plus engine totals.
-  std::string ExplainAnalyze() const;
-
-  /// Propagates to existing partitions and seeds future ones.
-  void SetLabel(const std::string& label) override;
+  std::string ExplainAnalyze() const override;
 
  private:
-  PartitionedEngine(PatternPtr pattern, PhysicalPlan plan,
-                    const EngineOptions& options, MemoryTracker* tracker);
-
   struct Partition {
     std::unique_ptr<Engine> engine;
     bool dirty = false;

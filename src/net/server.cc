@@ -35,17 +35,6 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
-bool SchemasEqual(const Schema& a, const Schema& b) {
-  if (a.num_fields() != b.num_fields()) return false;
-  for (int i = 0; i < a.num_fields(); ++i) {
-    if (a.field(i).name != b.field(i).name ||
-        a.field(i).type != b.field(i).type) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -214,33 +203,25 @@ Status Server::BindCatalog(const runtime::RuntimeOptions& runtime_options) {
     ZS_RETURN_IF_ERROR(runtime_->AddStream(name, schema).status());
   }
   // Share the session: queries already registered in the catalog are
-  // served too (their in-session engines stay idle; the runtime engines
-  // do the work).
+  // served too, from their catalog CompiledQuery (the session builds no
+  // engine for them; the runtime's shard engines do the work).
   for (const QueryInfo& info : session_->catalog().queries()) {
-    ZS_RETURN_IF_ERROR(RegisterOnRuntime(info.name));
+    ZS_RETURN_IF_ERROR(RegisterOnRuntime(info));
   }
   return Status::OK();
 }
 
-Status Server::RegisterOnRuntime(const std::string& query_name) {
-  // The session already analyzed and planned the query; the runtime's
-  // shard engines run that pattern and plan.
-  ZS_ASSIGN_OR_RETURN(QueryInfo info,
-                      session_->catalog().query(query_name));
-  ZS_ASSIGN_OR_RETURN(Query* compiled, session_->query(query_name));
+Status Server::RegisterOnRuntime(const QueryInfo& info) {
+  if (info.compiled == nullptr) {
+    return Status::NotFound("query '" + info.name + "' was never compiled")
+        .WithErrorCode(errc::kCatalogUnknownQuery);
+  }
   ZS_ASSIGN_OR_RETURN(runtime::StreamId stream, runtime_->stream(info.stream));
-  ZS_ASSIGN_OR_RETURN(SchemaPtr schema, runtime_->schema(stream));
   runtime::QueryOptions qopts;
   qopts.sink = &sink_;
-  // Label the runtime engines with the catalog name so metrics series
-  // and EXPLAIN ANALYZE report "rally", not the runtime's "q<id>".
-  EngineOptions engine;
-  engine.label = query_name;
   ZS_ASSIGN_OR_RETURN(runtime::QueryId id,
-                      runtime_->RegisterQuery(stream, info.pattern,
-                                              compiled->plan(), engine,
-                                              qopts));
-  served_[id] = ServedQuery{query_name, info.stream, std::move(schema)};
+                      runtime_->RegisterQuery(stream, info.compiled, qopts));
+  served_[id] = info;
   return Status::OK();
 }
 
@@ -480,7 +461,25 @@ void Server::DispatchFrame(Connection* conn,
 }
 
 void Server::HandleDdl(Connection* conn, const std::string& text) {
-  auto result = session_->Execute(text);
+  auto stmt = ParseDdl(text);
+  if (!stmt.ok()) {
+    SendError(conn, stmt.status());
+    return;
+  }
+  // A served query runs on the runtime's shard engines (the session
+  // builds none), so EXPLAIN ANALYZE profiles those.
+  const auto served = stmt->kind == DdlKind::kExplainAnalyze
+                          ? FindServed(stmt->name)
+                          : served_.end();
+  auto result = [&]() -> Result<DdlResult> {
+    if (served == served_.end()) return session_->Execute(*stmt);
+    DdlResult profile;
+    profile.kind = DdlKind::kExplainAnalyze;
+    profile.name = stmt->name;
+    ZS_ASSIGN_OR_RETURN(profile.message,
+                        runtime_->ExplainAnalyze(served->first));
+    return profile;
+  }();
   if (!result.ok()) {
     SendError(conn, result.status());
     return;
@@ -517,26 +516,12 @@ void Server::HandleDdl(Connection* conn, const std::string& text) {
     }
     case DdlKind::kCreateQuery:
     case DdlKind::kSelect: {
-      post = RegisterOnRuntime(result->name);
+      auto info = session_->catalog().query(result->name);
+      post = info.ok() ? RegisterOnRuntime(*info) : info.status();
       if (!post.ok()) {
         // Keep catalog and runtime in sync: undo the session-side
         // registration the Execute above performed.
         (void)session_->Execute("DROP QUERY " + result->name);
-      }
-      break;
-    }
-    case DdlKind::kExplainAnalyze: {
-      // The session's compiled engine never sees served traffic — the
-      // runtime's per-shard engines do. Replace the session's (empty)
-      // profile with the live merged one when the query is served.
-      auto it = FindServed(result->name);
-      if (it != served_.end()) {
-        auto profile = runtime_->ExplainAnalyze(it->first);
-        if (!profile.ok()) {
-          post = profile.status();
-        } else {
-          result->message = std::move(*profile);
-        }
       }
       break;
     }
@@ -637,7 +622,7 @@ void Server::HandleSubscribe(Connection* conn, const std::string& payload) {
   std::string ack;
   PutString(&ack, *name);
   PutString(&ack, it->second.stream);
-  AppendSchema(&ack, *it->second.schema);
+  AppendSchema(&ack, *it->second.compiled->schema);
   Send(conn, MsgType::kSubscribeAck, 0, ack);
 }
 

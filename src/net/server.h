@@ -160,20 +160,15 @@ class Server {
     Batch pending_ ZS_GUARDED_BY(mu_);
   };
 
-  /// One served query: its catalog name, stream and the stream's schema.
-  struct ServedQuery {
-    std::string name;
-    std::string stream;
-    SchemaPtr schema;
-  };
-  using ServedMap = std::map<runtime::QueryId, ServedQuery>;
+  /// Served queries' catalog entries (CompiledQuery set), by runtime id.
+  using ServedMap = std::map<runtime::QueryId, QueryInfo>;
 
   Server(ZStream* session, const ServerOptions& options);
 
   Status Listen();
   Status BindCatalog(const runtime::RuntimeOptions& runtime_options);
-  /// Serves the session's compiled query `query_name` on the runtime.
-  Status RegisterOnRuntime(const std::string& query_name);
+  /// Serves a catalog query on the runtime, from its CompiledQuery.
+  Status RegisterOnRuntime(const QueryInfo& info);
   /// The served query named `name`, or served_.end().
   ServedMap::iterator FindServed(const std::string& name);
 

@@ -43,6 +43,8 @@ inline constexpr char kCatalogUnknownStream[] = "ZS-S0002";
 inline constexpr char kCatalogDuplicateQuery[] = "ZS-S0003";
 inline constexpr char kCatalogUnknownQuery[] = "ZS-S0004";
 inline constexpr char kCatalogStreamInUse[] = "ZS-S0005";
+// A compiled query registered on a runtime stream of another schema.
+inline constexpr char kCatalogSchemaMismatch[] = "ZS-S0006";
 
 // Network protocol (src/net/). These travel inside kError frames, so a
 // client can match on them the same way a local caller matches on the

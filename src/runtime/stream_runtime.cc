@@ -11,6 +11,8 @@
 #include "event/row_codec.h"
 #include "exec/reorder.h"
 #include "obs/trace.h"
+#include "query/error_codes.h"
+#include "query/parser.h"
 #include "runtime/mpsc_queue.h"
 
 namespace zstream::runtime {
@@ -86,9 +88,8 @@ struct StreamRuntime::Control {
 struct StreamRuntime::QueryState {
   QueryId id = 0;
   StreamId stream = -1;
-  PatternPtr pattern;
-  /// The registered plan; engines adapt away from it on their own.
-  PhysicalPlan plan;
+  /// The registered pattern and plan (engines adapt away from it).
+  std::shared_ptr<const CompiledQuery> compiled;
   int key_field = -1;  // the pattern's partition key field; -1: keyless
   int pinned_shard = 0;  // a keyless query's one shard
   MatchSink* sink = nullptr;
@@ -852,20 +853,29 @@ Result<QueryId> StreamRuntime::RegisterQuery(StreamId stream,
                                              const CompileOptions& compile,
                                              const QueryOptions& options) {
   ZS_ASSIGN_OR_RETURN(SchemaPtr bound, schema(stream));
-  ZS_ASSIGN_OR_RETURN(PatternPtr pattern,
-                      AnalyzeQuery(text, bound, compile.analyzer));
-  ZS_ASSIGN_OR_RETURN(PhysicalPlan plan, BuildPlan(pattern, compile));
-  return RegisterQuery(stream, std::move(pattern), plan, compile.engine,
-                       options);
+  ZS_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(text));
+  ZS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CompiledQuery> compiled,
+      Prepare(StreamNames()[static_cast<size_t>(stream)], std::move(bound),
+              parsed, compile));
+  return RegisterQuery(stream, std::move(compiled), options);
 }
 
 Result<QueryId> StreamRuntime::RegisterQuery(
-    StreamId stream, PatternPtr pattern, const PhysicalPlan& plan,
-    const EngineOptions& engine_options, const QueryOptions& options) {
-  ZS_RETURN_IF_ERROR(schema(stream).status());
+    StreamId stream, std::shared_ptr<const CompiledQuery> query,
+    const QueryOptions& options) {
+  ZS_ASSIGN_OR_RETURN(SchemaPtr bound, schema(stream));
+  if (bound != query->schema && !SchemasEqual(*bound, *query->schema)) {
+    // The router would read the query's key field past these events.
+    return Status::InvalidArgument("query compiled for schema " +
+                                   query->schema->ToString() +
+                                   ", stream has " + bound->ToString())
+        .WithErrorCode(errc::kCatalogSchemaMismatch);
+  }
   if (stopped_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("runtime is stopped");
   }
+  const Pattern& pattern = *query->pattern;
 
   // NOTE: control_mu_ is only held for id reservation and the final map
   // insert — never across SyncShards. A worker can block on control_mu_
@@ -876,44 +886,34 @@ Result<QueryId> StreamRuntime::RegisterQuery(
   {
     zs::MutexLock control(control_mu_);
     q->id = next_query_id_++;
-    if (!pattern->partition.has_value()) {
+    if (!pattern.partition.has_value()) {
       q->pinned_shard = next_pin_++ % static_cast<int>(shards_.size());
     }
   }
   qs->stream = stream;
-  qs->pattern = pattern;
-  qs->plan = plan;
+  qs->compiled = query;
   qs->sink = options.sink;
   qs->tracker = std::make_unique<MemoryTracker>();
   qs->engines.resize(shards_.size());
   qs->tallies.resize(shards_.size());
-  if (pattern->partition.has_value()) {
-    qs->key_field = pattern->partition->field_indices.front();
+  if (pattern.partition.has_value()) {
+    qs->key_field = pattern.partition->field_indices.front();
   }
 
-  EngineOptions eopts = engine_options;
+  EngineOptions eopts = query->engine;
   if (eopts.slow_event_ns == 0) eopts.slow_event_ns = options_.slow_event_ns;
   qs->label = eopts.label.empty() ? "q" + std::to_string(qs->id)
                                   : eopts.label;
   eopts.label = qs->label;
-  qs->plan_cost.store(plan.estimated_cost, std::memory_order_relaxed);
+  qs->plan_cost.store(query->plan.estimated_cost, std::memory_order_relaxed);
   qs->latency = registry_.GetHistogram(
       "zstream_detection_latency_seconds", {{"query", qs->label}},
       "Ingest-to-emission latency of each match", 1e-9);
 
   const std::vector<int> targets = TargetShards(*qs);
   for (int s : targets) {
-    std::unique_ptr<EngineCore> engine;
-    if (pattern->partition.has_value()) {
-      ZS_ASSIGN_OR_RETURN(auto pe, PartitionedEngine::Create(
-                                       pattern, plan, eopts,
-                                       qs->tracker.get()));
-      engine = std::move(pe);
-    } else {
-      ZS_ASSIGN_OR_RETURN(auto se, Engine::Create(pattern, plan, eopts,
-                                                  qs->tracker.get()));
-      engine = std::move(se);
-    }
+    std::unique_ptr<EngineCore>& engine = qs->engines[static_cast<size_t>(s)];
+    engine = MakeEngine(query->pattern, query->plan, eopts, qs->tracker.get());
     // Counted on the worker thread; PublishMatchTallies folds the tally
     // into the shared counter and latency histogram once per dispatch.
     engine->SetMatchCallback(
@@ -928,7 +928,6 @@ Result<QueryId> StreamRuntime::RegisterQuery(
                 RuntimeMatch{id, s, obs::CurrentTraceId(), std::move(m)});
           }
         });
-    qs->engines[static_cast<size_t>(s)] = std::move(engine);
   }
 
   // Install on every target shard; barrier so events ingested after we
@@ -959,16 +958,16 @@ Result<QueryId> StreamRuntime::RegisterQuery(
   return id;
 }
 
+Result<std::shared_ptr<StreamRuntime::QueryState>> StreamRuntime::FindQuery(
+    QueryId id) const {
+  zs::MutexLock control(control_mu_);
+  auto it = queries_.find(id);
+  if (it == queries_.end()) return Status::NotFound("no query with that id");
+  return it->second;
+}
+
 Result<uint64_t> StreamRuntime::UnregisterQuery(QueryId id) {
-  std::shared_ptr<QueryState> qs;
-  {
-    zs::MutexLock control(control_mu_);
-    auto it = queries_.find(id);
-    if (it == queries_.end()) {
-      return Status::NotFound("no query with that id");
-    }
-    qs = it->second;
-  }
+  ZS_ASSIGN_OR_RETURN(std::shared_ptr<QueryState> qs, FindQuery(id));
   {
     zs::WriterMutexLock lock(route_mu_);
     auto& routes = streams_[static_cast<size_t>(qs->stream)].routes;
@@ -1029,39 +1028,25 @@ Status StreamRuntime::Flush() {
 }
 
 Result<uint64_t> StreamRuntime::query_matches(QueryId id) const {
-  zs::MutexLock control(control_mu_);
-  auto it = queries_.find(id);
-  if (it == queries_.end()) return Status::NotFound("no query with that id");
-  return it->second->matches.load(std::memory_order_relaxed);
+  ZS_ASSIGN_OR_RETURN(std::shared_ptr<QueryState> qs, FindQuery(id));
+  return qs->matches.load(std::memory_order_relaxed);
 }
 
 Result<int64_t> StreamRuntime::query_peak_bytes(QueryId id) const {
-  zs::MutexLock control(control_mu_);
-  auto it = queries_.find(id);
-  if (it == queries_.end()) return Status::NotFound("no query with that id");
-  return it->second->tracker->peak_bytes();
+  ZS_ASSIGN_OR_RETURN(std::shared_ptr<QueryState> qs, FindQuery(id));
+  return qs->tracker->peak_bytes();
 }
 
 Result<int> StreamRuntime::query_shard_count(QueryId id) const {
-  zs::MutexLock control(control_mu_);
-  auto it = queries_.find(id);
-  if (it == queries_.end()) return Status::NotFound("no query with that id");
-  return static_cast<int>(TargetShards(*it->second).size());
+  ZS_ASSIGN_OR_RETURN(std::shared_ptr<QueryState> qs, FindQuery(id));
+  return static_cast<int>(TargetShards(*qs).size());
 }
 
 Result<std::string> StreamRuntime::ExplainAnalyze(QueryId id) {
   if (stopped_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("runtime is stopped");
   }
-  std::shared_ptr<QueryState> qs;
-  {
-    zs::MutexLock control(control_mu_);
-    auto it = queries_.find(id);
-    if (it == queries_.end()) {
-      return Status::NotFound("no query with that id");
-    }
-    qs = it->second;
-  }
+  ZS_ASSIGN_OR_RETURN(std::shared_ptr<QueryState> qs, FindQuery(id));
   QueryState* q = qs.get();
   ShardMsg msg;
   msg.kind = ShardMsg::Kind::kCollectProfile;
@@ -1083,14 +1068,16 @@ Result<std::string> StreamRuntime::ExplainAnalyze(QueryId id) {
   }
   uint64_t pairs = 0;
   for (const PlanProfile& p : live) pairs += p.root.TotalPairs();
+  const PhysicalPlan& plan = q->compiled->plan;
   const double cost =
-      live.empty() ? q->plan.estimated_cost : live.front().estimated_cost;
+      live.empty() ? plan.estimated_cost : live.front().estimated_cost;
   q->observed_pairs.store(pairs, std::memory_order_relaxed);
   q->plan_cost.store(cost, std::memory_order_relaxed);
 
   std::ostringstream os;
   os << "query=" << q->label << " plan="
-     << (live.empty() ? q->plan.Explain(*q->pattern) : live.front().plan);
+     << (live.empty() ? plan.Explain(*q->compiled->pattern)
+                      : live.front().plan);
   os.precision(6);
   os << " cost_est=" << cost << " observed_pairs=" << pairs << " shards="
      << TargetShards(*qs).size() << "\n";

@@ -99,19 +99,18 @@ class StreamRuntime {
   /// The schema the stream was bound with.
   Result<SchemaPtr> schema(StreamId stream) const;
 
-  /// Compiles `text` against the stream's schema (parse -> rewrite ->
-  /// analyze -> plan) and instantiates it on its target shards. Returns
-  /// once every shard has the engine installed: events ingested after
-  /// this returns are guaranteed to be evaluated.
+  /// Compiles `text` against the stream's schema (Prepare: parse ->
+  /// rewrite -> analyze -> plan, verified once) and registers it.
   Result<QueryId> RegisterQuery(StreamId stream, const std::string& text,
                                 const CompileOptions& compile = {},
                                 const QueryOptions& options = {});
 
-  /// Same, for an already analyzed pattern + plan (a session's compiled
-  /// query, or a benchmark's).
-  Result<QueryId> RegisterQuery(StreamId stream, PatternPtr pattern,
-                                const PhysicalPlan& plan,
-                                const EngineOptions& engine = {},
+  /// Instantiates a compiled query (e.g. a session's catalog entry) on
+  /// its target shards, refusing (ZS-S0006) one compiled against another
+  /// schema. Returns once every shard has the engine installed: events
+  /// ingested after this returns are guaranteed to be evaluated.
+  Result<QueryId> RegisterQuery(StreamId stream,
+                                std::shared_ptr<const CompiledQuery> query,
                                 const QueryOptions& options = {});
 
   /// Flushes and retires the query on every shard; returns its final
@@ -276,6 +275,8 @@ class StreamRuntime {
   bool SyncShards(const std::vector<int>& shard_indices,
                   const ShardMsg& proto);
   std::vector<int> TargetShards(const QueryState& qs) const;
+  /// The registered query `id` (NotFound once unregistered).
+  Result<std::shared_ptr<QueryState>> FindQuery(QueryId id) const;
 
   RuntimeOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

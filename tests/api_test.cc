@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "api/internal.h"
+#include "exec/partitioned_engine.h"
 #include "test_util.h"
 
 namespace zstream {
 namespace {
 
+using testing::PlanVerifications;
 using testing::Stock;
 
 TEST(Api, CompileAndRunQuery1Style) {
@@ -244,23 +246,43 @@ TEST(Api, CompileAgainstUnknownStreamFails) {
 }
 
 TEST(Api, InternalQueryAccessReachesEngines) {
-  // api/internal.h is the one sanctioned route to the raw engines; keep
-  // it compiling and honest about which side backs the query.
+  // api/internal.h is the one sanctioned route to the raw engine; keep
+  // it compiling and honest about which kind backs the query. The
+  // engine is built on first use.
   ZStream zs(StockSchema());
   auto plain = zs.Compile("PATTERN A;B WITHIN 10");
   ASSERT_TRUE(plain.ok());
-  EXPECT_NE(internal::QueryAccess::Core(**plain), nullptr);
-  EXPECT_NE(internal::QueryAccess::SingleEngine(**plain), nullptr);
-  EXPECT_EQ(internal::QueryAccess::Partitioned(**plain), nullptr);
+  EXPECT_FALSE(internal::QueryAccess::HasEngine(**plain));
+  EXPECT_NE(dynamic_cast<Engine*>(internal::QueryAccess::Core(**plain)),
+            nullptr);
+  EXPECT_TRUE(internal::QueryAccess::HasEngine(**plain));
 
   auto keyed = zs.Compile(
       "PATTERN A;B WHERE A.name = B.name AND A.price < B.price WITHIN 10");
   ASSERT_TRUE(keyed.ok());
   ASSERT_TRUE((*keyed)->partitioned());
-  EXPECT_EQ(internal::QueryAccess::SingleEngine(**keyed), nullptr);
-  EXPECT_EQ(internal::QueryAccess::Core(**keyed),
-            static_cast<EngineCore*>(
-                internal::QueryAccess::Partitioned(**keyed)));
+  EXPECT_NE(
+      dynamic_cast<PartitionedEngine*>(internal::QueryAccess::Core(**keyed)),
+      nullptr);
+}
+
+TEST(Api, CompileVerifiesThePlanOnce) {
+  // Prepare verifies the plan once; the engine built from it (on first
+  // use) trusts that verification, keyed or keyless.
+  ZStream zs(StockSchema());
+  for (const char* text :
+       {"PATTERN A;B WHERE A.price < B.price WITHIN 10",
+        "PATTERN A;B WHERE A.name = B.name AND A.price < B.price "
+        "WITHIN 10"}) {
+    const uint64_t before = PlanVerifications();
+    auto query = zs.Compile(text);
+    ASSERT_TRUE(query.ok()) << query.status();
+    (*query)->Push(Stock("IBM", 10, 1));
+    (*query)->Push(Stock("IBM", 12, 2));
+    (*query)->Finish();
+    EXPECT_EQ((*query)->num_matches(), 1u) << text;
+    EXPECT_EQ(PlanVerifications() - before, 1u) << text;
+  }
 }
 
 TEST(Api, CompileFromPatternBuilder) {

@@ -2,6 +2,7 @@
 // memory bounds, plan switching mid-stream, projections, statistics.
 #include <gtest/gtest.h>
 
+#include "exec/partitioned_engine.h"
 #include "test_util.h"
 
 namespace zstream {

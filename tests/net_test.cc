@@ -11,6 +11,7 @@
 #include <cstring>
 #include <thread>
 
+#include "api/internal.h"
 #include "common/string_util.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -1136,24 +1137,52 @@ TEST(NetServer, DropQueryStopsServiceAndUnsubscribes) {
 // partitioned engine and its probe instance; keyless: 1) — once for
 // the session's engine and once for the one shard's.
 TEST(NetServer, WireCreateQueryPlansOnce) {
-  const auto verifications = [] {
-    return obs::Registry::Default()
-        .GetCounter("zstream_plan_verifications_total")
-        ->value();
-  };
-  ServerFixture fx(/*shards=*/1, {kStockDdl});
+  // Prepare verifies each wire CREATE QUERY's plan once; the runtime's
+  // shard engines (one per shard for a keyed query) and the session
+  // build from that one verified plan.
+  for (const int shards : {1, 4}) {
+    ServerFixture fx(shards, {kStockDdl});
+    auto client = fx.Connect();
+
+    uint64_t before = PlanVerifications();
+    ASSERT_TRUE(client->Execute(kRallyDdl).ok());
+    EXPECT_EQ(PlanVerifications() - before, 1u) << shards << " shards";
+
+    before = PlanVerifications();
+    ASSERT_TRUE(client
+                    ->Execute("CREATE QUERY spread ON stock AS PATTERN A;B "
+                              "WHERE A.price < B.price WITHIN 10")
+                    .ok());
+    EXPECT_EQ(PlanVerifications() - before, 1u) << shards << " shards";
+  }
+}
+
+TEST(NetServer, ServedQueryBuildsNoSessionEngine) {
+  // The runtime's shard engines run a served query; the session's Query
+  // only describes it, so SHOW PLAN and EXPLAIN ANALYZE over the wire
+  // must not build a session engine either.
+  ServerFixture fx(/*shards=*/2, {kStockDdl});
   auto client = fx.Connect();
-
-  uint64_t before = verifications();
   ASSERT_TRUE(client->Execute(kRallyDdl).ok());
-  EXPECT_EQ(verifications() - before, 5u);
-
-  before = verifications();
   ASSERT_TRUE(client
                   ->Execute("CREATE QUERY spread ON stock AS PATTERN A;B "
                             "WHERE A.price < B.price WITHIN 10")
                   .ok());
-  EXPECT_EQ(verifications() - before, 3u);
+  for (const char* name : {"rally", "spread"}) {
+    ASSERT_TRUE(client->Execute(std::string("SHOW PLAN ") + name).ok());
+    auto profile = client->Execute(std::string("EXPLAIN ANALYZE ") + name);
+    ASSERT_TRUE(profile.ok()) << profile.status();
+    EXPECT_NE(profile->message.find(std::string("query=") + name),
+              std::string::npos)
+        << profile->message;
+  }
+  client.reset();
+  fx.server->Stop();  // joins the poll thread before the session is read
+  for (const char* name : {"rally", "spread"}) {
+    auto query = fx.session.query(name);
+    ASSERT_TRUE(query.ok()) << query.status();
+    EXPECT_FALSE(zstream::internal::QueryAccess::HasEngine(**query)) << name;
+  }
 }
 
 }  // namespace

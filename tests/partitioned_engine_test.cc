@@ -13,7 +13,7 @@ namespace {
 constexpr char kQuery[] =
     "PATTERN A;B WHERE A.name = B.name AND A.price < B.price WITHIN 100";
 
-std::unique_ptr<PartitionedEngine> MakeEngine(const PatternPtr& p,
+std::unique_ptr<PartitionedEngine> MakePartitioned(const PatternPtr& p,
                                               const PhysicalPlan& plan,
                                               EngineOptions options = {}) {
   auto engine = PartitionedEngine::Create(p, plan, options);
@@ -26,7 +26,7 @@ std::unique_ptr<PartitionedEngine> MakeEngine(const PatternPtr& p,
 TEST(PartitionedEngine, PartitionsCreatedAfterCallbackInheritIt) {
   const PatternPtr p = MustAnalyze(kQuery);
   ASSERT_TRUE(p->partition.has_value());
-  auto engine = MakeEngine(p, LeftDeepPlan(*p));
+  auto engine = MakePartitioned(p, LeftDeepPlan(*p));
 
   uint64_t delivered = 0;
   engine->SetMatchCallback([&](Match&&) { ++delivered; });
@@ -49,7 +49,7 @@ TEST(PartitionedEngine, ClearedCallbackAppliesToNewPartitions) {
   const PatternPtr p = MustAnalyze(kQuery);
   EngineOptions options;
   options.batch_size = 1;  // deliver X's match before the clear below
-  auto engine = MakeEngine(p, LeftDeepPlan(*p), options);
+  auto engine = MakePartitioned(p, LeftDeepPlan(*p), options);
 
   uint64_t delivered = 0;
   engine->SetMatchCallback([&](Match&&) { ++delivered; });
@@ -74,7 +74,7 @@ TEST(PartitionedEngine, AdaptivePartitionsKeepMatchSetExact) {
 
   std::vector<std::string> expected;
   {
-    auto base = MakeEngine(p, LeftDeepPlan(*p));
+    auto base = MakePartitioned(p, LeftDeepPlan(*p));
     base->SetMatchCallback([&](Match&& m) { expected.push_back(MatchKey(m)); });
     for (const EventPtr& e : events) base->Push(e);
     base->Finish();
@@ -82,7 +82,8 @@ TEST(PartitionedEngine, AdaptivePartitionsKeepMatchSetExact) {
   }
   ASSERT_FALSE(expected.empty());
 
-  auto engine = MakeEngine(p, LeftDeepPlan(*p), PhaseShiftAdaptiveOptions());
+  auto engine =
+      MakePartitioned(p, LeftDeepPlan(*p), PhaseShiftAdaptiveOptions());
   std::vector<std::string> keys;
   engine->SetMatchCallback([&](Match&& m) { keys.push_back(MatchKey(m)); });
   for (const EventPtr& e : events) engine->Push(e);
@@ -147,7 +148,7 @@ TEST(PartitionedEngine, PushBatchMatchesPerEventPush) {
     EngineOptions options;
     options.batch_size = batch_size;
     std::vector<std::string> expected;
-    auto serial = MakeEngine(p, LeftDeepPlan(*p), options);
+    auto serial = MakePartitioned(p, LeftDeepPlan(*p), options);
     serial->SetMatchCallback(
         [&](Match&& m) { expected.push_back(MatchKey(m)); });
     for (const EventPtr& e : events) serial->Push(e);
@@ -158,7 +159,7 @@ TEST(PartitionedEngine, PushBatchMatchesPerEventPush) {
 
     for (const size_t span : {size_t{3}, size_t{50}, events.size()}) {
       std::vector<std::string> keys;
-      auto engine = MakeEngine(p, LeftDeepPlan(*p), options);
+      auto engine = MakePartitioned(p, LeftDeepPlan(*p), options);
       engine->SetMatchCallback(
           [&](Match&& m) { keys.push_back(MatchKey(m)); });
       for (size_t i = 0; i < events.size(); i += span) {

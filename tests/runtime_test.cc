@@ -12,6 +12,8 @@
 #include <random>
 #include <thread>
 
+#include "exec/partitioned_engine.h"
+#include "query/error_codes.h"
 #include "runtime/mpsc_queue.h"
 #include "test_util.h"
 #include "workload/driver.h"
@@ -582,8 +584,11 @@ TEST(StreamRuntime, KeyedAdaptiveQueryKeepsMatchSetExact) {
   CollectingMatchSink sink;
   QueryOptions qopts;
   qopts.sink = &sink;
-  auto id = (*rt)->RegisterQuery(*stream, p, initial,
-                                 PhaseShiftAdaptiveOptions(), qopts);
+  CompileOptions compile;
+  compile.strategy = PlanStrategy::kLeftDeep;
+  compile.engine = PhaseShiftAdaptiveOptions();
+  auto id = (*rt)->RegisterQuery(
+      *stream, MustPrepare(kKeyedPhaseQuery, compile), qopts);
   ASSERT_TRUE(id.ok()) << id.status();
   EXPECT_EQ((*rt)->IngestBatch(*stream, events), 0u);
   ASSERT_TRUE((*rt)->Flush().ok());
@@ -607,17 +612,20 @@ std::string ShapeOfRows(const std::vector<std::string>& rows, size_t* at) {
 // Regression: the runtime's header and cost gauge named the registered
 // plan after a keyless adaptive engine had switched away from it.
 TEST(StreamRuntime, AdaptiveQueryExplainNamesTheLivePlan) {
-  const PatternPtr p = MustAnalyze(
+  CompileOptions compile;
+  compile.strategy = PlanStrategy::kLeftDeep;
+  compile.engine = PhaseShiftAdaptiveOptions();
+  const auto compiled = MustPrepare(
       "PATTERN A;B;C WHERE A.volume = 1 AND B.volume = 2 AND C.volume = 3 "
-      "WITHIN 30");
-  ASSERT_FALSE(p->partition.has_value());
-  const PhysicalPlan initial = LeftDeepPlan(*p);
+      "WITHIN 30",
+      compile);
+  ASSERT_FALSE(compiled->pattern->partition.has_value());
+  const PhysicalPlan& initial = compiled->plan;
   auto rt = StreamRuntime::Create();
   ASSERT_TRUE(rt.ok());
   auto stream = (*rt)->AddStream("stock", StockSchema());
   ASSERT_TRUE(stream.ok());
-  auto id = (*rt)->RegisterQuery(*stream, p, initial,
-                                 PhaseShiftAdaptiveOptions());
+  auto id = (*rt)->RegisterQuery(*stream, compiled);
   ASSERT_TRUE(id.ok()) << id.status();
   EXPECT_EQ((*rt)->IngestBatch(*stream, PhaseShiftStream(4000, 1)), 0u);
   ASSERT_TRUE((*rt)->Flush().ok());
@@ -646,6 +654,44 @@ TEST(StreamRuntime, AdaptiveQueryExplainNamesTheLivePlan) {
 
   (*rt)->UpdateMetrics();
   EXPECT_NE(cost->value(), registered_cost);
+}
+
+// Regression: a compiled query was accepted on any stream, and its key
+// field index then read past the shorter stream's event values.
+TEST(StreamRuntime, RegisterRefusesQueryCompiledForAnotherSchema) {
+  const auto keyed = MustPrepare(kKeyedPhaseQuery);
+  ASSERT_TRUE(keyed->pattern->partition.has_value());
+  auto rt = StreamRuntime::Create();
+  ASSERT_TRUE(rt.ok());
+  auto narrow =
+      (*rt)->AddStream("ticks", Schema::Make({{"ts", ValueType::kInt64}}));
+  ASSERT_TRUE(narrow.ok());
+  auto refused = (*rt)->RegisterQuery(*narrow, keyed);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
+  EXPECT_EQ(refused.status().error_code(), errc::kCatalogSchemaMismatch);
+
+  // The same layout under another schema object is the same stream shape.
+  auto copy = (*rt)->AddStream("stock", Schema::Make(StockSchema()->fields()));
+  ASSERT_TRUE(copy.ok());
+  EXPECT_TRUE((*rt)->RegisterQuery(*copy, keyed).ok());
+}
+
+TEST(StreamRuntime, TextRegisterVerifiesThePlanOnce) {
+  // One Prepare per registration: the shard engines (one per shard for
+  // a keyed query) are built from its verified plan without verifying
+  // it again.
+  RuntimeOptions options;
+  options.num_shards = 4;
+  auto rt = StreamRuntime::Create(options);
+  ASSERT_TRUE(rt.ok());
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  ASSERT_TRUE(stream.ok());
+  for (const char* text : {kKeyedPhaseQuery, "PATTERN A;B WITHIN 10"}) {
+    const uint64_t before = PlanVerifications();
+    ASSERT_TRUE((*rt)->RegisterQuery(*stream, text).ok()) << text;
+    EXPECT_EQ(PlanVerifications() - before, 1u) << text;
+  }
 }
 
 TEST(StreamRuntime, StartRuntimeFacade) {

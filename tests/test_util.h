@@ -14,7 +14,9 @@
 #include "common/random.h"
 #include "exec/engine.h"
 #include "nfa/nfa_engine.h"
+#include "obs/metrics.h"
 #include "query/analyzer.h"
+#include "query/parser.h"
 #include "runtime/stream_runtime.h"
 
 namespace zstream::testing {
@@ -69,6 +71,29 @@ inline PatternPtr MustAnalyze(const std::string& text,
     abort();
   }
   return *result;
+}
+
+/// Prepares a query against the stock schema as stream "stock"
+/// (CHECK-fails on error, like MustAnalyze).
+inline std::shared_ptr<const CompiledQuery> MustPrepare(
+    const std::string& text, const CompileOptions& options = {}) {
+  auto parsed = ParseQuery(text);
+  auto compiled = parsed.ok() ? Prepare("stock", StockSchema(), *parsed,
+                                        options)
+                              : parsed.status();
+  if (!compiled.ok()) {
+    ADD_FAILURE() << "prepare failed: " << compiled.status().ToString()
+                  << " for query: " << text;
+    abort();
+  }
+  return *compiled;
+}
+
+/// Plan verifications so far, process-wide.
+inline uint64_t PlanVerifications() {
+  return obs::Registry::Default()
+      .GetCounter("zstream_plan_verifications_total")
+      ->value();
 }
 
 /// Canonical string for a match: per-class event timestamps plus the

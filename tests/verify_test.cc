@@ -23,6 +23,7 @@
 
 #include "api/zstream.h"
 #include "exec/engine.h"
+#include "exec/partitioned_engine.h"
 #include "plan/physical_plan.h"
 #include "query/analyzer.h"
 #include "query/error_codes.h"
